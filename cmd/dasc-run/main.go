@@ -22,6 +22,7 @@ import (
 	"dasc/internal/obs"
 	"dasc/internal/sim"
 	"dasc/internal/stats"
+	"dasc/internal/step"
 	"dasc/internal/viz"
 )
 
@@ -62,9 +63,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		trace    = fs.String("trace", "", "write a per-batch CSV trace of the simulation to this file")
 		metrics  = fs.String("metrics", "", "write aggregated run metrics (Prometheus text format) to this file, or - for stdout")
 		poa      = fs.Int("poa", 0, "with -static: sample N random-init game equilibria against the exact optimum (small instances only)")
-		noGameWL = fs.Bool("no-game-worklist", false, "run game allocators with the naive full best-response sweep instead of the incremental worklist engine")
-		verifyWL = fs.Bool("verify-game-worklist", false, "cross-check the game worklist engine against the naive sweep every batch (differential mode; slow)")
+		engine   step.EngineOptions
 	)
+	engine.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -80,16 +81,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	if *noGameWL {
-		if g, ok := alloc.(*core.Game); ok {
-			alloc = g.WithWorklistDisabled(true)
-		}
-	}
-
 	timer := stats.StartTimer()
 	if *static {
 		b := core.NewStaticBatch(in)
-		if *verifyWL {
+		alloc := engine.Allocator(alloc)
+		if engine.VerifyGameWorklist {
 			if g, ok := alloc.(*core.Game); ok {
 				if err := g.VerifyWorklist(b); err != nil {
 					return fmt.Errorf("game worklist diverged: %w", err)
@@ -125,10 +121,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	cfg := sim.Config{
-		Allocator:          alloc,
-		BatchInterval:      *interval,
-		ServiceTime:        *service,
-		VerifyGameWorklist: *verifyWL,
+		Allocator:     alloc,
+		BatchInterval: *interval,
+		ServiceTime:   *service,
+		EngineOptions: engine,
 	}
 	var traceFile *os.File
 	var csvSink func(sim.BatchResult)

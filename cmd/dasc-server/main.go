@@ -43,6 +43,7 @@ import (
 
 	"dasc/internal/core"
 	"dasc/internal/server"
+	"dasc/internal/step"
 )
 
 func main() {
@@ -79,9 +80,9 @@ func run() error {
 		logLevel    = flag.String("log-level", "info", "structured log level: debug, info, warn or error")
 		logFormat   = flag.String("log-format", "text", "structured log encoding: text or json")
 		accessEvery = flag.Int("access-log-every", 100, "log every Nth HTTP request with its X-Request-ID (1 = all, 0 = no access log)")
-		noGameWL    = flag.Bool("no-game-worklist", false, "run game allocators with the naive full best-response sweep instead of the incremental worklist engine")
-		verifyWL    = flag.Bool("verify-game-worklist", false, "cross-check the game worklist engine against the naive sweep every tick (differential mode; slow)")
+		engine      step.EngineOptions
 	)
+	engine.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	logger, err := buildLogger(*logLevel, *logFormat)
@@ -102,19 +103,18 @@ func run() error {
 		snapPath = *journal + ".snap"
 	}
 	cfg := server.Config{
-		Allocator:           alloc,
-		ServiceTime:         *service,
-		TraceDepth:          *traceDepth,
-		SnapshotPath:        snapPath,
-		SnapshotEvery:       *snapEvery,
-		MaxBodyBytes:        *maxBody,
-		IngestQueue:         *ingQueue,
-		IngestBatch:         *ingBatch,
-		IngestWait:          *ingWait,
-		Logger:              logger,
-		AccessLogEvery:      *accessEvery,
-		DisableGameWorklist: *noGameWL,
-		VerifyGameWorklist:  *verifyWL,
+		Allocator:      alloc,
+		ServiceTime:    *service,
+		TraceDepth:     *traceDepth,
+		SnapshotPath:   snapPath,
+		SnapshotEvery:  *snapEvery,
+		MaxBodyBytes:   *maxBody,
+		IngestQueue:    *ingQueue,
+		IngestBatch:    *ingBatch,
+		IngestWait:     *ingWait,
+		Logger:         logger,
+		AccessLogEvery: *accessEvery,
+		EngineOptions:  engine,
 	}
 	if *journal != "" {
 		j, err := server.OpenJournalMode(*journal, mode, *fsyncEvery)

@@ -28,16 +28,23 @@ func NewGridIndex(box BBox, targetCells int) *GridIndex {
 		targetCells = 1
 	}
 	w, h := box.Width(), box.Height()
-	if w <= 0 {
-		w = 1e-9
-	}
-	if h <= 0 {
-		h = 1e-9
-	}
-	// Choose a square-ish cell so cols*rows ≈ targetCells.
-	cell := math.Sqrt(w * h / float64(targetCells))
-	if cell <= 0 || math.IsNaN(cell) {
-		cell = math.Max(w, h)
+	long, short := math.Max(w, h), math.Min(w, h)
+	n := float64(targetCells)
+	var cell float64
+	switch {
+	case !(long > 0):
+		// A single point (or an empty box): one cell.
+		cell = 1
+	case !(short*n >= long):
+		// Degenerate: the box is a line, or thinner than one square cell,
+		// so square cells would lay out a single row of far more than
+		// targetCells cells. Split the long side into targetCells instead.
+		cell = long / n
+	default:
+		// Choose a square-ish cell so cols*rows ≈ targetCells.
+		if cell = math.Sqrt(w * h / n); !(cell > 0) {
+			cell = long / n // w·h underflowed
+		}
 	}
 	cols := int(math.Ceil(w / cell))
 	rows := int(math.Ceil(h / cell))

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -260,5 +261,52 @@ func TestKDTreeEmptyAndDegenerate(t *testing.T) {
 	dup := NewKDTree(same)
 	if got := dup.Within(Pt(0.3, 0.3), 0, nil); len(got) != 10 {
 		t.Errorf("duplicate-point Within = %d ids, want 10", len(got))
+	}
+}
+
+// TestGridIndexDegenerateBoxStaysSmall: collinear points (a zero-height or
+// zero-width box) used to get a 1e-9 side and ~31.6M cells for 1,000
+// points. The cell count must stay O(targetCells), and queries exact.
+func TestGridIndexDegenerateBoxStaysSmall(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, box := range []BBox{
+		NewBBox(Pt(0, 5), Pt(1000, 5)),     // horizontal line
+		NewBBox(Pt(3, -500), Pt(3, 500)),   // vertical line
+		NewBBox(Pt(0, 0), Pt(1000, 1e-12)), // thinner than one square cell
+		NewBBox(Pt(7, 7), Pt(7, 7)),        // a single point
+	} {
+		pts := randPoints(rng, 1000, box)
+		g := NewGridIndex(box, len(pts))
+		if cells := g.cols * g.rows; cells > 2*len(pts) {
+			t.Fatalf("box %v: %d cells for %d points", box, cells, len(pts))
+		}
+		for i, p := range pts {
+			g.Insert(i, p)
+		}
+		for trial := 0; trial < 30; trial++ {
+			q := randPoints(rng, 1, box)[0]
+			r := rng.Float64() * 50
+			if got, want := g.Within(q, r, nil), bruteWithin(pts, nil, q, r); !equalIntSets(got, want) {
+				t.Fatalf("box %v: Within(%v, %v) = %v, want %v", box, q, r, got, want)
+			}
+		}
+	}
+}
+
+// TestGridIndexCellSizeUnchangedForProperBoxes pins the square-cell sizing
+// for every box at least one cell thick, so engine builds over ordinary
+// task spreads keep their grids.
+func TestGridIndexCellSizeUnchangedForProperBoxes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(5000)
+		w, h := 1e-3+rng.Float64()*100, 1e-3+rng.Float64()*100
+		if math.Min(w, h)*float64(n) < math.Max(w, h) {
+			continue
+		}
+		g := NewGridIndex(NewBBox(Pt(0, 0), Pt(w, h)), n)
+		if want := math.Sqrt(w * h / float64(n)); g.cellSize != want {
+			t.Fatalf("%v×%v, %d cells: cell size %v, want %v", w, h, n, g.cellSize, want)
+		}
 	}
 }

@@ -42,6 +42,7 @@ func NewEpsFloat() *Analyzer {
 			"dasc/internal/model",
 			"dasc/internal/sim",
 			"dasc/internal/server",
+			"dasc/internal/step",
 		),
 		Run: runEpsFloat,
 	}
@@ -55,7 +56,7 @@ var epsSources = map[string]map[string]bool{
 	"Worker":       {"Start": true, "Wait": true, "MaxDist": true, "Expiry": true, "TravelTime": true},
 	"BatchWorker":  {"ReadyAt": true, "DistBudget": true},
 	"cachedWorker": {"readyAt": true, "distBudget": true, "start": true, "wait": true, "velocity": true, "maxDist": true, "costs": true},
-	"workerState":  {"busyUntil": true, "distUsed": true},
+	"WorkerState":  {"BusyUntil": true, "DistUsed": true},
 }
 
 // epsSourceFuncs are free functions whose results are epsilon-sensitive.

@@ -9,6 +9,12 @@ const (
 	MBatchWorkersGauge = "dasc_batch_active_workers"
 	MBatchTasksGauge   = "dasc_batch_pending_tasks"
 
+	// Step population after each batch, set in O(1) from the live sets.
+	MLiveWorkersGauge    = "dasc_live_workers"
+	MLiveTasksGauge      = "dasc_live_tasks"
+	MRetiredWorkersGauge = "dasc_retired_workers"
+	MRetiredTasksGauge   = "dasc_retired_tasks"
+
 	// Allocation results.
 	MAssignedTotal = "dasc_assigned_pairs_total"
 	MDeferredTotal = "dasc_deferred_pairs_total"
@@ -80,7 +86,11 @@ const (
 	// Phase latency histograms (seconds, log-scale buckets). These were
 	// uniform-bucket Timers through PR 7; sub-10ms phases collapsed into one
 	// bucket and reported p50 == p99, so latency paths now use the
-	// exponential-bucket Histogram (histogram.go).
+	// exponential-bucket Histogram (histogram.go). The tick histogram is the
+	// whole batch step; the collect, index, alloc and dispatch phases add up
+	// to it.
+	TTickSeconds   = "dasc_tick_seconds"
+	TPhaseCollect  = "dasc_phase_collect_seconds"
 	TPhaseIndex    = "dasc_phase_index_seconds"
 	TPhaseAlloc    = "dasc_phase_alloc_seconds"
 	TPhaseDispatch = "dasc_phase_dispatch_seconds"
@@ -118,6 +128,10 @@ func RecordBatch(r *Registry, t BatchTrace) {
 	r.Counter(MBatchesTotal).Inc()
 	r.Gauge(MBatchWorkersGauge).Set(float64(t.Workers))
 	r.Gauge(MBatchTasksGauge).Set(float64(t.Tasks))
+	r.Gauge(MLiveWorkersGauge).Set(float64(t.LiveWorkers))
+	r.Gauge(MLiveTasksGauge).Set(float64(t.LiveTasks))
+	r.Gauge(MRetiredWorkersGauge).Set(float64(t.RetiredWorkers))
+	r.Gauge(MRetiredTasksGauge).Set(float64(t.RetiredTasks))
 
 	r.Counter(MAssignedTotal).Add(int64(t.Assigned))
 	r.Counter(MDeferredTotal).Add(int64(t.Deferred))
@@ -148,6 +162,8 @@ func RecordBatch(r *Registry, t BatchTrace) {
 	r.Counter(MGameSkippedTotal).Add(t.GameSkipped)
 	r.Counter(MGameMovedTotal).Add(t.GameMoved)
 
+	r.Histogram(TTickSeconds).Observe(t.TickMS / 1e3)
+	r.Histogram(TPhaseCollect).Observe(t.CollectMS / 1e3)
 	r.Histogram(TPhaseIndex).Observe(t.IndexBuildMS / 1e3)
 	r.Histogram(TPhaseAlloc).Observe(t.AllocMS / 1e3)
 	r.Histogram(TPhaseDispatch).Observe(t.DispatchMS / 1e3)

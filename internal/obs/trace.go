@@ -17,10 +17,21 @@ type BatchTrace struct {
 	Workers int     `json:"workers"`
 	Tasks   int     `json:"tasks"`
 
-	// Phase wall-clock timings, milliseconds.
+	// Phase wall-clock timings, milliseconds. TickMS is the whole batch
+	// step; the four phases add up to it up to clock-read overhead.
+	TickMS       float64 `json:"tick_ms"`
+	CollectMS    float64 `json:"collect_ms"`     // arrivals, retire pass and batch assembly
 	IndexBuildMS float64 `json:"index_build_ms"` // candidate-engine build or incremental revalidate
 	AllocMS      float64 `json:"alloc_ms"`       // allocator + dependency fixpoint
 	DispatchMS   float64 `json:"dispatch_ms"`    // worker-state updates for the dispatched pairs
+
+	// Step population after the batch: live workers (arrived, unexpired)
+	// and tasks (arrived, unexpired, unconsumed), and the retired rest.
+	// Entities registered with a future start are in neither.
+	LiveWorkers    int `json:"live_workers"`
+	LiveTasks      int `json:"live_tasks"`
+	RetiredWorkers int `json:"retired_workers"`
+	RetiredTasks   int `json:"retired_tasks"`
 
 	// EngineCache outcomes.
 	FullRebuild        bool  `json:"full_rebuild"`        // batch built from scratch (first batch, metric change, …)
@@ -268,6 +279,24 @@ func (r *BatchRec) ObservePhases(indexBuild, alloc, dispatch time.Duration) {
 	r.trace.IndexBuildMS = float64(indexBuild) / float64(time.Millisecond)
 	r.trace.AllocMS = float64(alloc) / float64(time.Millisecond)
 	r.trace.DispatchMS = float64(dispatch) / float64(time.Millisecond)
+}
+
+// SetLive records the step population after the batch.
+func (r *BatchRec) SetLive(liveWorkers, liveTasks, retiredWorkers, retiredTasks int) {
+	if r == nil {
+		return
+	}
+	r.trace.LiveWorkers, r.trace.LiveTasks = liveWorkers, liveTasks
+	r.trace.RetiredWorkers, r.trace.RetiredTasks = retiredWorkers, retiredTasks
+}
+
+// ObserveTick records the collect phase and the whole batch step.
+func (r *BatchRec) ObserveTick(collect, tick time.Duration) {
+	if r == nil {
+		return
+	}
+	r.trace.CollectMS = float64(collect) / float64(time.Millisecond)
+	r.trace.TickMS = float64(tick) / float64(time.Millisecond)
 }
 
 // Finish folds the accumulated counters into the trace and returns it. The

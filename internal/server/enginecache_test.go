@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"math"
 	"net/http"
 	"reflect"
@@ -10,6 +9,7 @@ import (
 	"dasc/internal/core"
 	"dasc/internal/geo"
 	"dasc/internal/model"
+	"dasc/internal/step"
 )
 
 // TestTickRejectsMalformedTimes: the ?t= parameter must be a finite float
@@ -97,7 +97,7 @@ func populate(t *testing.T, p *Platform) {
 // TestServerEngineCacheDifferential ticks a platform with the carried
 // engine cross-checked against a from-scratch build on every tick.
 func TestServerEngineCacheDifferential(t *testing.T) {
-	p, err := NewPlatform(Config{Allocator: core.NewGreedy(), VerifyEngineCache: true})
+	p, err := NewPlatform(Config{Allocator: core.NewGreedy(), EngineOptions: step.EngineOptions{VerifyEngineCache: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestServerEngineCacheSameAssignmentsAsScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := NewPlatform(Config{Allocator: core.NewGreedy(), DisableEngineCache: true})
+	scratch, err := NewPlatform(Config{Allocator: core.NewGreedy(), EngineOptions: step.EngineOptions{DisableEngineCache: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestServerRogueAllocatorPairsSkipped(t *testing.T) {
 		t.Errorf("rogue pair recorded as assignment")
 	}
 	// Worker 0's state must be untouched: it can still take the task.
-	if got := fmt.Sprintf("%v", p.wstate[0]); got != fmt.Sprintf("%v", workerState{loc: geo.Pt(0, 0)}) {
+	if got := p.st.Worker(0); got != (step.WorkerState{}) {
 		t.Errorf("worker 0 state mutated by rogue pair: %v", got)
 	}
 }

@@ -65,56 +65,95 @@ func (s *dtoScan) key() (string, bool) {
 	return "", false
 }
 
-// number consumes a JSON number token. Out-of-range values (1e999) fail here
-// so the strict decoder can report them exactly as it always has.
-func (s *dtoScan) number() (float64, bool) {
+// token consumes the longest prefix matching the JSON number grammar
+// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? and reports whether it
+// had a fraction or exponent part. A prefix the grammar cannot finish
+// ("1.", "1e", "-") yields ok=false; leading zeros, '+' and a bare '.' end
+// the token early, so the caller's next delimiter check bails on them.
+func (s *dtoScan) token() (tok []byte, float, ok bool) {
 	s.ws()
-	start := s.i
-	for s.i < len(s.b) {
-		switch c := s.b[s.i]; {
-		case c >= '0' && c <= '9', c == '-', c == '+', c == '.', c == 'e', c == 'E':
-			s.i++
-		default:
-			goto done
+	b, i := s.b, s.i
+	digits := func() int {
+		n := 0
+		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+			i++
+			n++
 		}
+		return n
 	}
-done:
-	if s.i == start {
-		return 0, false
+	if i < len(b) && b[i] == '-' {
+		i++
 	}
-	f, err := strconv.ParseFloat(string(s.b[start:s.i]), 64)
-	if err != nil {
-		return 0, false
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case digits() == 0:
+		return nil, false, false
 	}
-	return f, true
+	if i < len(b) && b[i] == '.' {
+		i++
+		if digits() == 0 {
+			return nil, false, false
+		}
+		float = true
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if digits() == 0 {
+			return nil, false, false
+		}
+		float = true
+	}
+	tok, s.i = b[s.i:i], i
+	return tok, float, true
 }
 
-// intArray consumes [n, n, ...] of integers (the skills / deps wire shape).
-func (s *dtoScan) intArray() ([]int64, bool) {
+// number consumes a JSON number. Out-of-range values (1e999) fail here so
+// the strict decoder can report them exactly as it always has.
+func (s *dtoScan) number() (float64, bool) {
+	tok, _, ok := s.token()
+	if !ok {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	return f, err == nil
+}
+
+// integer consumes a JSON number bound for an int32 field (skills, task
+// IDs). A fraction or exponent ("2.0", "1e0") or an out-of-range value
+// bails: encoding/json rejects those for integer fields rather than
+// truncating them.
+func (s *dtoScan) integer() (int32, bool) {
+	tok, float, ok := s.token()
+	if !ok || float {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(string(tok), 10, 32)
+	return int32(n), err == nil
+}
+
+// intArray consumes [n, n, ...] of integers (the skills / deps wire shape),
+// appending them to dst.
+func intArray[T ~int32](s *dtoScan, dst []T) ([]T, bool) {
 	if !s.lit('[') {
 		return nil, false
 	}
 	if s.lit(']') {
-		return nil, true
+		return dst, true
 	}
-	var out []int64
 	for {
-		f, ok := s.number()
+		n, ok := s.integer()
 		if !ok {
 			return nil, false
 		}
-		n := int64(f)
-		if float64(n) != f {
-			return nil, false // fractional or overflowing → generic decoder
-		}
-		out = append(out, n)
+		dst = append(dst, T(n))
 		if s.lit(',') {
 			continue
 		}
-		if s.lit(']') {
-			return out, true
-		}
-		return nil, false
+		return dst, s.lit(']')
 	}
 }
 
@@ -126,10 +165,9 @@ func (s *dtoScan) end() bool {
 	return s.i == len(s.b)
 }
 
-// parseWorkerDTO fast-parses a POST /v1/workers body into d, reporting
-// whether it fully recognised the input. false means "use the real decoder",
-// not "invalid".
-func parseWorkerDTO(body []byte, d *workerDTO) bool {
+// parseObject scans one flat JSON object, handing every key to field, which
+// consumes the value and reports whether it recognised both.
+func parseObject(body []byte, field func(s *dtoScan, key string) bool) bool {
 	s := dtoScan{b: body}
 	if !s.lit('{') {
 		return false
@@ -139,9 +177,21 @@ func parseWorkerDTO(body []byte, d *workerDTO) bool {
 	}
 	for {
 		k, ok := s.key()
-		if !ok || !s.lit(':') {
+		if !ok || !s.lit(':') || !field(&s, k) {
 			return false
 		}
+		if !s.lit(',') {
+			return s.lit('}') && s.end()
+		}
+	}
+}
+
+// parseWorkerDTO fast-parses a POST /v1/workers body into d, reporting
+// whether it fully recognised the input. false means "use the real decoder",
+// not "invalid". Unknown fields bail too: the decoder reports them
+// (DisallowUnknownFields).
+func parseWorkerDTO(body []byte, d *workerDTO) bool {
+	return parseObject(body, func(s *dtoScan, k string) (ok bool) {
 		switch k {
 		case "x":
 			d.X, ok = s.number()
@@ -156,44 +206,18 @@ func parseWorkerDTO(body []byte, d *workerDTO) bool {
 		case "max_dist":
 			d.MaxDist, ok = s.number()
 		case "skills":
-			var arr []int64
-			arr, ok = s.intArray()
-			if ok {
-				d.Skills = d.Skills[:0]
-				for _, n := range arr {
-					d.Skills = append(d.Skills, model.Skill(n))
-				}
+			var arr []model.Skill
+			if arr, ok = intArray(s, d.Skills[:0]); ok {
+				d.Skills = arr
 			}
-		default:
-			return false // unknown field → decoder reports it (DisallowUnknownFields)
 		}
-		if !ok {
-			return false
-		}
-		if s.lit(',') {
-			continue
-		}
-		if s.lit('}') {
-			return s.end()
-		}
-		return false
-	}
+		return ok
+	})
 }
 
 // parseTaskDTO is parseWorkerDTO for POST /v1/tasks bodies.
 func parseTaskDTO(body []byte, d *taskDTO) bool {
-	s := dtoScan{b: body}
-	if !s.lit('{') {
-		return false
-	}
-	if s.lit('}') {
-		return s.end()
-	}
-	for {
-		k, ok := s.key()
-		if !ok || !s.lit(':') {
-			return false
-		}
+	return parseObject(body, func(s *dtoScan, k string) (ok bool) {
 		switch k {
 		case "x":
 			d.X, ok = s.number()
@@ -206,38 +230,18 @@ func parseTaskDTO(body []byte, d *taskDTO) bool {
 		case "weight":
 			d.Weight, ok = s.number()
 		case "requires":
-			var f float64
-			f, ok = s.number()
-			if ok {
-				n := int64(f)
-				if float64(n) != f {
-					return false
-				}
+			var n int32
+			if n, ok = s.integer(); ok {
 				d.Requires = model.Skill(n)
 			}
 		case "deps":
-			var arr []int64
-			arr, ok = s.intArray()
-			if ok {
-				d.Deps = d.Deps[:0]
-				for _, n := range arr {
-					d.Deps = append(d.Deps, model.TaskID(n))
-				}
+			var arr []model.TaskID
+			if arr, ok = intArray(s, d.Deps[:0]); ok {
+				d.Deps = arr
 			}
-		default:
-			return false
 		}
-		if !ok {
-			return false
-		}
-		if s.lit(',') {
-			continue
-		}
-		if s.lit('}') {
-			return s.end()
-		}
-		return false
-	}
+		return ok
+	})
 }
 
 // bodyPool recycles request-body buffers for the registration endpoints.

@@ -42,6 +42,16 @@ func TestParseWorkerDTOEquivalence(t *testing.T) {
 		{"trailing garbage", `{"x":1}tail`, false},
 		{"not an object", `[1,2]`, false},
 		{"empty body", ``, false},
+		{"negative zero", `{"x":-0,"y":0.0}`, true},
+		{"double zero", `{"x":00}`, false},
+		{"leading zero", `{"x":01}`, false},
+		{"plus sign", `{"x":+0}`, false},
+		{"bare fraction", `{"x":.5}`, false},
+		{"trailing dot", `{"x":1.}`, false},
+		{"dangling exponent", `{"x":1e}`, false},
+		{"exponent skill", `{"skills":[1e0]}`, false},
+		{"decimal skill", `{"skills":[2.0]}`, false},
+		{"int32 overflow skill", `{"skills":[4294967296]}`, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -77,6 +87,10 @@ func TestParseTaskDTOEquivalence(t *testing.T) {
 		{"unknown field", `{"velocity":1}`, false},
 		{"deps of strings", `{"deps":["a"]}`, false},
 		{"out of range weight", `{"weight":-1e999}`, false},
+		{"exponent requires", `{"requires":1e0}`, false},
+		{"decimal dep", `{"deps":[2.0]}`, false},
+		{"leading zero dep", `{"deps":[01]}`, false},
+		{"precision-losing dep", `{"deps":[9007199254740993]}`, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -113,4 +127,37 @@ func normTask(d taskDTO) taskDTO {
 		d.Deps = nil
 	}
 	return d
+}
+
+// FuzzFastDTO is the differential target for the fast scanner: for any
+// body, the served decode path must accept exactly what the strict decoder
+// accepts, with the same result, for both registration DTOs.
+func FuzzFastDTO(f *testing.F) {
+	for _, seed := range []string{
+		`{"x":1.5,"y":-2,"start":0,"wait":1e6,"velocity":1,"max_dist":1000,"skills":[3]}`,
+		`{"x":3,"y":4,"start":1,"wait":50,"requires":2,"deps":[0,1],"weight":1.5}`,
+		`{"x":00}`, `{"x":01}`, `{"x":+0}`, `{"x":.5}`, `{"x":1.}`,
+		`{"skills":[1e0]}`, `{"skills":[2.0]}`, `{"requires":1e0}`, `{"deps":[2.0]}`,
+		`{"skills":[4294967296]}`, `{"x":-0}`, `{"x":1,"x":null}`, `{}`, ` `,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var gw, ww workerDTO
+		gerr, werr := decodeBody(body, &gw), decodeStrict(t, string(body), &ww)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("worker %q: served err %v, strict err %v", body, gerr, werr)
+		}
+		if gerr == nil && !reflect.DeepEqual(normWorker(gw), normWorker(ww)) {
+			t.Fatalf("worker %q: served %+v, strict %+v", body, gw, ww)
+		}
+		var gt, wt taskDTO
+		gerr, werr = decodeBody(body, &gt), decodeStrict(t, string(body), &wt)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("task %q: served err %v, strict err %v", body, gerr, werr)
+		}
+		if gerr == nil && !reflect.DeepEqual(normTask(gt), normTask(wt)) {
+			t.Fatalf("task %q: served %+v, strict %+v", body, gt, wt)
+		}
+	})
 }

@@ -322,6 +322,12 @@ func decode(p *Platform, w http.ResponseWriter, r *http.Request, v any) error {
 		return err
 	}
 	defer bodyPool.Put(bp)
+	return decodeBody(body, v)
+}
+
+// decodeBody is decode past the body read: the fast scanner, then — into
+// the same, possibly partly filled value — the strict decoder.
+func decodeBody(body []byte, v any) error {
 	switch d := v.(type) {
 	case *workerDTO:
 		if parseWorkerDTO(body, d) {

@@ -315,13 +315,14 @@ func (p *Platform) commitBatch(reqs []*ingestReq) {
 	staged := make([]int, 0, len(reqs)) // indices into reqs, in commit order
 
 	p.mu.Lock()
+	in := p.st.Instance()
 	var stagedW []model.Worker
 	var stagedT []model.Task
 	for i, r := range reqs {
 		switch r.kind {
 		case ingestWorker:
 			w := r.worker
-			w.ID = model.WorkerID(len(p.workers) + len(stagedW))
+			w.ID = model.WorkerID(len(in.Workers) + len(stagedW))
 			stagedW = append(stagedW, w)
 			entries = append(entries, workerEntry(w))
 			staged = append(staged, i)
@@ -334,7 +335,7 @@ func (p *Platform) commitBatch(reqs []*ingestReq) {
 				continue
 			}
 			t.Deps = closed
-			t.ID = model.TaskID(len(p.tasks) + len(stagedT))
+			t.ID = model.TaskID(len(in.Tasks) + len(stagedT))
 			stagedT = append(stagedT, t)
 			entries = append(entries, taskEntry(t))
 			staged = append(staged, i)
@@ -359,11 +360,8 @@ func (p *Platform) commitBatch(reqs []*ingestReq) {
 		}
 		stagedW, stagedT = nil, nil
 	} else {
-		p.workers = append(p.workers, stagedW...)
-		for i := range stagedW {
-			p.wstate = append(p.wstate, workerState{loc: stagedW[i].Loc})
-		}
-		p.tasks = append(p.tasks, stagedT...)
+		p.st.AddWorkers(stagedW...)
+		p.st.AddTasks(stagedT...)
 		committed = len(staged)
 		// Collect correlation IDs in commit order NOW: once a waiter is
 		// answered below it recycles its request (putReq zeroes reqID).

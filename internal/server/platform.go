@@ -19,6 +19,7 @@ import (
 	"dasc/internal/geo"
 	"dasc/internal/model"
 	"dasc/internal/obs"
+	"dasc/internal/step"
 )
 
 // Platform is the mutable, concurrency-safe platform state. Logical time is
@@ -27,15 +28,12 @@ import (
 type Platform struct {
 	mu sync.Mutex
 
-	alloc        core.Allocator
-	serviceTime  float64
-	dist         geo.DistanceFunc
-	journal      *Journal
-	replaying    bool
-	cache        *core.EngineCache
-	noCache      bool
-	verifyCache  bool
-	verifyGameWL bool
+	// st is the batch step: registries, dispatch state, assignment
+	// bookkeeping and the live sets every tick runs over (package step).
+	st        *step.Step
+	dist      geo.DistanceFunc
+	journal   *Journal
+	replaying bool
 
 	// Durability policy: after snapEvery ticks the platform snapshots its
 	// state to snapPath and rotates the journal (snapshot.go).
@@ -55,11 +53,10 @@ type Platform struct {
 
 	// view is the atomically swapped read snapshot (view.go): every mutation
 	// republishes it under mu, and the read endpoints serve from it without
-	// touching the big mutex. assignVer changes whenever the assignment
-	// bookkeeping may have (ticks, snapshot restores), letting an unchanged
-	// assignment view be reused across registration-only publishes.
-	view      atomic.Pointer[readView]
-	assignVer uint64
+	// touching the big mutex. asgMemo holds the last sorted assignment view
+	// a reader materialised.
+	view    atomic.Pointer[readView]
+	asgMemo atomic.Pointer[assignMemo]
 
 	// reg and traces are the server's observability surface: every tick is
 	// recorded as an obs.BatchTrace, folded into reg (GET /v1/metrics) and
@@ -77,25 +74,7 @@ type Platform struct {
 	log *slog.Logger
 	mw  *middleware
 
-	workers []model.Worker
-	wstate  []workerState
-	tasks   []model.Task
-
-	assigned map[model.TaskID]model.WorkerID // validly assigned tasks
-	botched  map[model.TaskID]bool           // consumed by invalid dispatch
-	finishAt map[model.TaskID]float64
-
-	now     float64
 	batches int
-	wasted  int
-	rogue   int
-}
-
-type workerState struct {
-	loc       geo.Point
-	busyUntil float64
-	distUsed  float64
-	done      int
 }
 
 // Config configures a Platform.
@@ -110,24 +89,9 @@ type Config struct {
 	// platform state can be rebuilt after a restart via Replay. Journal
 	// write failures are returned to the caller of the mutating operation.
 	Journal *Journal
-	// DisableEngineCache rebuilds every tick's candidate engine from
-	// scratch instead of carrying it across ticks incrementally
-	// (core.EngineCache). The two builds agree exactly; the flag exists for
-	// A/B benchmarks and debugging.
-	DisableEngineCache bool
-	// VerifyEngineCache cross-checks the incrementally maintained candidate
-	// engine against a from-scratch build on every tick and fails the tick
-	// on divergence. Differential-testing hook; expensive.
-	VerifyEngineCache bool
-	// DisableGameWorklist runs DASC_Game allocators with the naive full
-	// best-response sweep instead of the incremental worklist engine — the
-	// game-side analogue of DisableEngineCache. Ignored for non-game
-	// allocators.
-	DisableGameWorklist bool
-	// VerifyGameWorklist cross-checks the worklist engine against the naive
-	// sweep on every tick (identical assignments, rounds, update ratios) and
-	// fails the tick on divergence. Ignored for non-game allocators.
-	VerifyGameWorklist bool
+	// EngineOptions are the candidate- and game-engine knobs shared with
+	// the simulator (DisableEngineCache, VerifyEngineCache, ...).
+	step.EngineOptions
 	// TraceDepth is how many recent batch traces GET /v1/trace can serve;
 	// zero means obs.DefaultTraceDepth.
 	TraceDepth int
@@ -205,30 +169,20 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	if maxBody == 0 {
 		maxBody = DefaultMaxBodyBytes
 	}
-	alloc := cfg.Allocator
-	if cfg.DisableGameWorklist {
-		if g, ok := alloc.(*core.Game); ok {
-			alloc = g.WithWorklistDisabled(true)
-		}
-	}
 	p := &Platform{
-		alloc:        alloc,
-		serviceTime:  cfg.ServiceTime,
-		dist:         dist,
-		journal:      cfg.Journal,
-		cache:        core.NewEngineCache(),
-		noCache:      cfg.DisableEngineCache,
-		verifyCache:  cfg.VerifyEngineCache,
-		verifyGameWL: cfg.VerifyGameWorklist,
-		snapPath:     cfg.SnapshotPath,
-		snapEvery:    cfg.SnapshotEvery,
-		maxBody:      maxBody,
-		reg:          obs.NewRegistry(),
-		traces:       obs.NewTraceRing(cfg.TraceDepth),
-		log:          orDiscard(cfg.Logger),
-		assigned:     make(map[model.TaskID]model.WorkerID),
-		botched:      make(map[model.TaskID]bool),
-		finishAt:     make(map[model.TaskID]float64),
+		st: step.New(step.Config{
+			Allocator:     cfg.Allocator,
+			EngineOptions: cfg.EngineOptions,
+			ServiceTime:   cfg.ServiceTime,
+		}, &model.Instance{Dist: dist}, 0),
+		dist:      dist,
+		journal:   cfg.Journal,
+		snapPath:  cfg.SnapshotPath,
+		snapEvery: cfg.SnapshotEvery,
+		maxBody:   maxBody,
+		reg:       obs.NewRegistry(),
+		traces:    obs.NewTraceRing(cfg.TraceDepth),
+		log:       orDiscard(cfg.Logger),
 	}
 	p.mw = newMiddleware(p.log, cfg.AccessLogEvery)
 	p.cIngEnq = p.reg.Counter(obs.MIngestEnqueuedTotal)
@@ -331,19 +285,20 @@ func validateTask(t *model.Task) error {
 
 // closeDepsLocked validates t's dependency list against the registered tasks
 // plus staged (tasks committed earlier in the same ingest drain, whose IDs
-// follow len(p.tasks)) and returns the transitively closed list. Dependencies
+// follow the registry) and returns the transitively closed list. Dependencies
 // must reference already-registered tasks, which keeps the dependency graph
 // acyclic by construction (as in the paper's generators, creation order is
 // appearance order).
 //
 // requires: p.mu
 func (p *Platform) closeDepsLocked(t *model.Task, staged []model.Task) ([]model.TaskID, error) {
-	n := len(p.tasks) + len(staged)
+	tasks := p.st.Instance().Tasks
+	n := len(tasks) + len(staged)
 	lookup := func(id model.TaskID) *model.Task {
-		if int(id) < len(p.tasks) {
-			return &p.tasks[id]
+		if int(id) < len(tasks) {
+			return &tasks[id]
 		}
-		return &staged[int(id)-len(p.tasks)]
+		return &staged[int(id)-len(tasks)]
 	}
 	seen := make(map[model.TaskID]bool, len(t.Deps))
 	for _, d := range t.Deps {
@@ -380,14 +335,13 @@ func (p *Platform) AddWorker(w model.Worker) (model.WorkerID, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	w.ID = model.WorkerID(len(p.workers))
+	w.ID = model.WorkerID(len(p.st.Instance().Workers))
 	if p.journal != nil && !p.replaying {
 		if err := p.journal.Worker(w); err != nil {
 			return 0, journalFailure(err)
 		}
 	}
-	p.workers = append(p.workers, w)
-	p.wstate = append(p.wstate, workerState{loc: w.Loc})
+	p.st.AddWorkers(w)
 	p.publishViewLocked()
 	return w.ID, nil
 }
@@ -407,13 +361,13 @@ func (p *Platform) AddTask(t model.Task) (model.TaskID, error) {
 		return 0, err
 	}
 	t.Deps = closed
-	t.ID = model.TaskID(len(p.tasks))
+	t.ID = model.TaskID(len(p.st.Instance().Tasks))
 	if p.journal != nil && !p.replaying {
 		if err := p.journal.Task(t); err != nil {
 			return 0, journalFailure(err)
 		}
 	}
-	p.tasks = append(p.tasks, t)
+	p.st.AddTasks(t)
 	p.publishViewLocked()
 	return t.ID, nil
 }
@@ -456,129 +410,27 @@ func (p *Platform) TickTagged(now float64, requestID string) (*BatchOutcome, err
 	if math.IsNaN(now) || math.IsInf(now, 0) {
 		return nil, fmt.Errorf("server: non-finite tick time %v", now)
 	}
-	if now < p.now {
-		return nil, fmt.Errorf("server: time going backwards (%v < %v)", now, p.now)
+	if now < p.st.Now() {
+		return nil, fmt.Errorf("server: time going backwards (%v < %v)", now, p.st.Now())
 	}
 	if p.journal != nil && !p.replaying {
 		if err := p.journal.TickAt(now); err != nil {
 			return nil, journalFailure(err)
 		}
 	}
-	p.now = now
 	out := &BatchOutcome{Batch: p.batches, Time: now, Assigned: []model.Pair{}}
 	p.batches++
 	rec := obs.NewBatchRec(out.Batch, now)
 	rec.SetRequestID(requestID)
-
-	in := &model.Instance{Workers: p.workers, Tasks: p.tasks, Dist: p.dist}
-	var bws []core.BatchWorker
-	var wIdx []int
-	for i := range p.workers {
-		w := &p.workers[i]
-		if w.Start > now || now > w.Expiry() || p.wstate[i].busyUntil > now {
-			continue
-		}
-		bws = append(bws, core.BatchWorker{
-			W:          w,
-			Loc:        p.wstate[i].loc,
-			ReadyAt:    now,
-			DistBudget: w.MaxDist - p.wstate[i].distUsed,
-		})
-		wIdx = append(wIdx, i)
+	o, err := p.st.Tick(now, rec)
+	if err != nil {
+		return nil, fmt.Errorf("server: tick %d: %w", out.Batch, err)
 	}
-	var pending []*model.Task
-	for i := range p.tasks {
-		t := &p.tasks[i]
-		if _, ok := p.assigned[t.ID]; ok {
-			continue
-		}
-		if p.botched[t.ID] || t.Start > now || t.Deadline() < now {
-			continue
-		}
-		pending = append(pending, t)
+	out.Workers, out.Tasks, out.Rogue = o.Workers, o.Tasks, o.Rogue
+	if o.Valid != nil {
+		out.Assigned = o.Valid.Pairs
+		out.Wasted = o.Raw.Size() - o.Valid.Size()
 	}
-	out.Workers, out.Tasks = len(bws), len(pending)
-	rec.SetPopulation(out.Workers, out.Tasks)
-	if len(bws) == 0 || len(pending) == 0 {
-		p.recordTick(out, rec)
-		p.maybeSnapshotLocked()
-		return out, nil
-	}
-
-	satisfied := make(map[model.TaskID]bool, len(p.assigned))
-	for id := range p.assigned {
-		satisfied[id] = true
-	}
-	b := core.NewBatch(in, bws, pending, satisfied)
-	b.SetRecorder(rec)
-	phaseStart := time.Now()
-	if !p.noCache {
-		p.cache.Attach(b)
-		if p.verifyCache {
-			if err := b.VerifyIndex(); err != nil {
-				return nil, fmt.Errorf("server: tick %d: engine cache diverged: %w", out.Batch, err)
-			}
-		}
-	} else {
-		// Force the lazy build inside the timed window so the index phase
-		// is attributed correctly (the build is idempotent).
-		b.Index()
-	}
-	indexD := time.Since(phaseStart)
-	phaseStart = time.Now()
-	if p.verifyGameWL {
-		if g, ok := p.alloc.(*core.Game); ok {
-			if err := g.VerifyWorklist(b); err != nil {
-				return nil, fmt.Errorf("server: tick %d: game worklist diverged: %w", out.Batch, err)
-			}
-		}
-	}
-	raw := p.alloc.Assign(b)
-	out.Rogue = core.DropUnknownWorkers(b, raw)
-	p.rogue += out.Rogue
-	valid := core.DependencyFixpoint(b, raw)
-	out.Assigned = valid.Pairs
-	out.Wasted = raw.Size() - valid.Size()
-	p.wasted += out.Wasted
-	allocD := time.Since(phaseStart)
-	phaseStart = time.Now()
-
-	validSet := valid.TaskSet()
-	for _, pair := range raw.Pairs {
-		// DropUnknownWorkers already removed pairs naming workers outside
-		// the batch; the guard stays as a backstop so a miss can never
-		// dispatch through batch index 0.
-		bi := b.WorkerIndex(pair.Worker)
-		if bi < 0 {
-			out.Rogue++
-			p.rogue++
-			continue
-		}
-		i := wIdx[bi]
-		w := &p.workers[i]
-		t := &p.tasks[pair.Task]
-		d := p.dist(p.wstate[i].loc, t.Loc)
-		arrive := math.Max(now, t.Start) + w.TravelTime(p.wstate[i].loc, t.Loc, p.dist)
-		serviceStart := arrive
-		for _, dep := range t.Deps {
-			if fa, ok := p.finishAt[dep]; ok && fa > serviceStart {
-				serviceStart = fa
-			}
-		}
-		finish := serviceStart + p.serviceTime
-		p.wstate[i].loc = t.Loc
-		p.wstate[i].distUsed += d
-		p.wstate[i].busyUntil = finish
-		p.wstate[i].done++
-		if validSet[pair.Task] {
-			p.assigned[pair.Task] = pair.Worker
-			p.finishAt[pair.Task] = finish
-		} else {
-			p.botched[pair.Task] = true
-		}
-	}
-	rec.SetOutcome(valid.Size(), out.Wasted, out.Rogue)
-	rec.ObservePhases(indexD, allocD, time.Since(phaseStart))
 	p.recordTick(out, rec)
 	p.maybeSnapshotLocked()
 	return out, nil
@@ -597,7 +449,6 @@ func (p *Platform) recordTick(out *BatchOutcome, rec *obs.BatchRec) {
 	out.MemoHits = tr.MemoHits
 	p.traces.Add(tr)
 	obs.RecordBatch(p.reg, tr)
-	p.assignVer++
 	p.publishViewLocked()
 }
 
@@ -634,15 +485,16 @@ func (p *Platform) Snapshot() Stats {
 
 // requires: p.mu
 func (p *Platform) statsLocked() Stats {
+	in, t := p.st.Instance(), p.st.Totals()
 	return Stats{
-		Now:           p.now,
+		Now:           p.st.Now(),
 		Batches:       p.batches,
-		Workers:       len(p.workers),
-		Tasks:         len(p.tasks),
-		AssignedTasks: len(p.assigned),
-		WastedPairs:   p.wasted,
-		RoguePairs:    p.rogue,
-		Allocator:     p.alloc.Name(),
+		Workers:       len(in.Workers),
+		Tasks:         len(in.Tasks),
+		AssignedTasks: p.st.Assigned(),
+		WastedPairs:   t.Wasted,
+		RoguePairs:    t.Rogue,
+		Allocator:     p.st.Allocator().Name(),
 
 		WorkersRevalidated: p.reg.Counter(obs.MCacheRevalidatedTotal).Value(),
 		WorkersRebuilt:     p.reg.Counter(obs.MCacheRebuiltTotal).Value(),
@@ -651,16 +503,12 @@ func (p *Platform) statsLocked() Stats {
 	}
 }
 
-// Assignments returns every valid pair so far, sorted by task ID.
+// Assignments returns every valid pair so far, sorted by task ID, as a
+// private copy.
 func (p *Platform) Assignments() *model.Assignment {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	a := model.NewAssignment()
-	for tid, wid := range p.assigned {
-		a.Add(wid, tid)
-	}
-	a.Sort()
-	return a
+	return p.st.Assignments()
 }
 
 // Instance returns a deep copy of the current worker and task registries,
@@ -673,11 +521,12 @@ func (p *Platform) Instance() *model.Instance {
 
 // requires: p.mu
 func (p *Platform) instanceLocked() *model.Instance {
+	reg := p.st.Instance()
 	in := &model.Instance{
-		Workers: append([]model.Worker(nil), p.workers...),
-		Tasks:   make([]model.Task, len(p.tasks)),
+		Workers: append([]model.Worker(nil), reg.Workers...),
+		Tasks:   make([]model.Task, len(reg.Tasks)),
 	}
-	for i, t := range p.tasks {
+	for i, t := range reg.Tasks {
 		t.Deps = append([]model.TaskID(nil), t.Deps...)
 		in.Tasks[i] = t
 	}

@@ -7,12 +7,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"dasc/internal/dataset"
 	"dasc/internal/model"
 	"dasc/internal/obs"
+	"dasc/internal/step"
 )
 
 // SnapshotVersion identifies the on-disk snapshot schema; bump on breaking
@@ -21,33 +21,15 @@ const SnapshotVersion = 1
 
 // snapshotFile is the JSON shape of a platform state snapshot: the full
 // registries as a dataset-format instance, plus everything the instance does
-// not carry — the logical clock, dispatch state per worker, and the
-// assignment/botched/finish bookkeeping. Restoring it and replaying the
-// post-rotation journal tail reproduces the pre-crash platform exactly.
+// not carry — the step's durable state (logical clock, dispatch state per
+// worker, the assignment/botched/finish bookkeeping) and the batch counter.
+// Restoring it and replaying the post-rotation journal tail reproduces the
+// pre-crash platform exactly.
 type snapshotFile struct {
-	Version  int                   `json:"version"`
-	Now      float64               `json:"now"`
-	Batches  int                   `json:"batches"`
-	Wasted   int                   `json:"wasted"`
-	Rogue    int                   `json:"rogue"`
-	Instance json.RawMessage       `json:"instance"`
-	Assigned []snapshotAssigned    `json:"assigned"`
-	Botched  []model.TaskID        `json:"botched,omitempty"`
-	Workers  []snapshotWorkerState `json:"worker_state"`
-}
-
-type snapshotAssigned struct {
-	Task     model.TaskID   `json:"task"`
-	Worker   model.WorkerID `json:"worker"`
-	FinishAt float64        `json:"finish_at"`
-}
-
-type snapshotWorkerState struct {
-	X         float64 `json:"x"`
-	Y         float64 `json:"y"`
-	BusyUntil float64 `json:"busy_until"`
-	DistUsed  float64 `json:"dist_used"`
-	Done      int     `json:"done"`
+	Version  int             `json:"version"`
+	Batches  int             `json:"batches"`
+	Instance json.RawMessage `json:"instance"`
+	step.Saved
 }
 
 // WriteSnapshot serialises the platform's full state to w.
@@ -63,31 +45,7 @@ func (p *Platform) writeSnapshotLocked(w io.Writer) error {
 	if err := dataset.WriteCompact(&inst, p.instanceLocked()); err != nil {
 		return fmt.Errorf("server: snapshot instance: %w", err)
 	}
-	sf := snapshotFile{
-		Version:  SnapshotVersion,
-		Now:      p.now,
-		Batches:  p.batches,
-		Wasted:   p.wasted,
-		Rogue:    p.rogue,
-		Instance: json.RawMessage(inst.Bytes()),
-		Workers:  make([]snapshotWorkerState, len(p.wstate)),
-	}
-	for i, ws := range p.wstate {
-		sf.Workers[i] = snapshotWorkerState{
-			X: ws.loc.X, Y: ws.loc.Y,
-			BusyUntil: ws.busyUntil, DistUsed: ws.distUsed, Done: ws.done,
-		}
-	}
-	for tid, wid := range p.assigned {
-		sf.Assigned = append(sf.Assigned, snapshotAssigned{
-			Task: tid, Worker: wid, FinishAt: p.finishAt[tid],
-		})
-	}
-	sort.Slice(sf.Assigned, func(i, j int) bool { return sf.Assigned[i].Task < sf.Assigned[j].Task })
-	for tid := range p.botched {
-		sf.Botched = append(sf.Botched, tid)
-	}
-	sort.Slice(sf.Botched, func(i, j int) bool { return sf.Botched[i] < sf.Botched[j] })
+	sf := snapshotFile{Version: SnapshotVersion, Batches: p.batches, Instance: inst.Bytes(), Saved: p.st.Save()}
 	return json.NewEncoder(w).Encode(&sf)
 }
 
@@ -97,9 +55,9 @@ func (p *Platform) writeSnapshotLocked(w io.Writer) error {
 func (p *Platform) ReadSnapshot(r io.Reader) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.workers) > 0 || len(p.tasks) > 0 || p.batches > 0 {
+	if cur := p.st.Instance(); len(cur.Workers) > 0 || len(cur.Tasks) > 0 || p.batches > 0 {
 		return fmt.Errorf("server: snapshot restore into non-empty platform (%d workers, %d tasks, %d batches)",
-			len(p.workers), len(p.tasks), p.batches)
+			len(cur.Workers), len(cur.Tasks), p.batches)
 	}
 	var sf snapshotFile
 	dec := json.NewDecoder(r)
@@ -114,48 +72,30 @@ func (p *Platform) ReadSnapshot(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("server: snapshot instance: %w", err)
 	}
-	if len(sf.Workers) != len(in.Workers) {
+	if len(sf.State) != len(in.Workers) {
 		return fmt.Errorf("server: snapshot has %d worker states for %d workers",
-			len(sf.Workers), len(in.Workers))
+			len(sf.State), len(in.Workers))
 	}
 	nTasks := len(in.Tasks)
-	wstate := make([]workerState, len(sf.Workers))
-	for i, ws := range sf.Workers {
-		wstate[i] = workerState{
-			loc:       pt(ws.X, ws.Y),
-			busyUntil: ws.BusyUntil, distUsed: ws.DistUsed, done: ws.Done,
-		}
-	}
-	assigned := make(map[model.TaskID]model.WorkerID, len(sf.Assigned))
-	finishAt := make(map[model.TaskID]float64, len(sf.Assigned))
+	seen := make(map[model.TaskID]bool, len(sf.Assigned))
 	for _, a := range sf.Assigned {
 		if a.Task < 0 || int(a.Task) >= nTasks || a.Worker < 0 || int(a.Worker) >= len(in.Workers) {
 			return fmt.Errorf("server: snapshot assignment (w%d, t%d) out of range", a.Worker, a.Task)
 		}
-		if _, dup := assigned[a.Task]; dup {
+		if seen[a.Task] {
 			return fmt.Errorf("server: snapshot assigns task t%d twice", a.Task)
 		}
-		assigned[a.Task] = a.Worker
-		finishAt[a.Task] = a.FinishAt
+		seen[a.Task] = true
 	}
-	botched := make(map[model.TaskID]bool, len(sf.Botched))
 	for _, tid := range sf.Botched {
 		if tid < 0 || int(tid) >= nTasks {
 			return fmt.Errorf("server: snapshot botched task t%d out of range", tid)
 		}
-		botched[tid] = true
 	}
-	p.workers = in.Workers
-	p.tasks = in.Tasks
-	p.wstate = wstate
-	p.assigned = assigned
-	p.finishAt = finishAt
-	p.botched = botched
-	p.now = sf.Now
+	sv := sf.Saved
+	sv.Dist, sv.Workers, sv.Tasks = p.dist, in.Workers, in.Tasks
+	p.st.Restore(sv)
 	p.batches = sf.Batches
-	p.wasted = sf.Wasted
-	p.rogue = sf.Rogue
-	p.assignVer++
 	p.publishViewLocked()
 	return nil
 }

@@ -1,51 +1,50 @@
 package server
 
-import "dasc/internal/model"
+import (
+	"slices"
+
+	"dasc/internal/model"
+)
 
 // readView is the atomically swapped read snapshot the HTTP read endpoints
 // (/v1/stats, /v1/assignments, /v1/instance, /v1/svg) serve from instead of
 // taking the big platform mutex — a read under heavy ingest costs one atomic
 // pointer load, never a lock that a group commit (journal fsync) is holding.
 //
-// The view aliases the platform's worker/task backing arrays rather than
-// copying them. That is safe because both registries are append-only and
-// their elements are never mutated after publication (all mutable dispatch
-// state lives in Platform.wstate): a later append either writes beyond this
-// view's length or reallocates, and readers never look past v.workers/tasks'
-// own bounds. The three-index slice expressions in publishViewLocked pin the
-// capacity so the aliasing contract is explicit.
+// The view aliases the step's worker/task registries and its commit log
+// rather than copying them. That is safe because all three are append-only
+// and their elements are never mutated after publication (all mutable
+// dispatch state lives in the step's worker states): a later append either
+// writes beyond this view's length or reallocates, and readers never look
+// past the view's own bounds. The three-index slice expressions in
+// publishViewLocked pin the capacity so the aliasing contract is explicit.
 type readView struct {
-	stats       Stats
-	assignments *model.Assignment
-	assignVer   uint64
-	workers     []model.Worker
-	tasks       []model.Task
+	stats   Stats
+	commits []model.Pair // valid pairs in dispatch order
+	workers []model.Worker
+	tasks   []model.Task
 }
 
-// publishViewLocked swaps in a read view of the current state. Registration
-// publishes are O(1): the assignment view is rebuilt only when assignVer
-// moved (ticks, snapshot restores), otherwise the previous one — immutable
-// once published — is reused.
+// assignMemo is the sorted assignment view last materialised from the
+// first n commits. Published memos are immutable; the commit log only grows
+// (a snapshot restore happens before the first commit), so n identifies it.
+type assignMemo struct {
+	n int
+	a *model.Assignment
+}
+
+// publishViewLocked swaps in a read view of the current state in O(1): the
+// sorted assignment view is materialised lazily by the first reader that
+// needs it (AssignmentsView), not by every tick.
 //
 // requires: p.mu
 func (p *Platform) publishViewLocked() {
-	prev := p.view.Load()
-	var a *model.Assignment
-	if prev != nil && prev.assignVer == p.assignVer {
-		a = prev.assignments
-	} else {
-		a = model.NewAssignment()
-		for tid, wid := range p.assigned {
-			a.Add(wid, tid)
-		}
-		a.Sort()
-	}
+	in, commits := p.st.Instance(), p.st.Commits()
 	p.view.Store(&readView{
-		stats:       p.statsLocked(),
-		assignments: a,
-		assignVer:   p.assignVer,
-		workers:     p.workers[:len(p.workers):len(p.workers)],
-		tasks:       p.tasks[:len(p.tasks):len(p.tasks)],
+		stats:   p.statsLocked(),
+		commits: commits[:len(commits):len(commits)],
+		workers: in.Workers[:len(in.Workers):len(in.Workers)],
+		tasks:   in.Tasks[:len(in.Tasks):len(in.Tasks)],
 	})
 }
 
@@ -67,7 +66,16 @@ func (p *Platform) StatsView() Stats { return p.loadView().stats }
 // AssignmentsView returns every valid pair so far, sorted by task ID, from
 // the read view. The returned assignment is shared and MUST be treated as
 // read-only; use Assignments for a private copy.
-func (p *Platform) AssignmentsView() *model.Assignment { return p.loadView().assignments }
+func (p *Platform) AssignmentsView() *model.Assignment {
+	v := p.loadView()
+	if m := p.asgMemo.Load(); m != nil && m.n == len(v.commits) {
+		return m.a
+	}
+	a := &model.Assignment{Pairs: slices.Clone(v.commits)}
+	a.Sort()
+	p.asgMemo.Store(&assignMemo{n: len(v.commits), a: a})
+	return a
+}
 
 // InstanceView returns the current worker and task registries from the read
 // view without copying. The instance aliases live platform storage and MUST

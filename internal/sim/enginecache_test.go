@@ -8,6 +8,7 @@ import (
 	"dasc/internal/gen"
 	"dasc/internal/geo"
 	"dasc/internal/model"
+	"dasc/internal/step"
 )
 
 // simMetrics are the travel metrics the cross-batch engine must handle in a
@@ -38,7 +39,7 @@ func TestSimEngineCacheDifferential(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			in := *base
 			in.Dist = m.dist
-			p, err := New(&in, Config{Allocator: core.NewGreedy(), VerifyEngineCache: true})
+			p, err := New(&in, Config{Allocator: core.NewGreedy(), EngineOptions: step.EngineOptions{VerifyEngineCache: true}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +71,7 @@ func TestSimEngineCacheSameResultsAsScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, err := New(in, Config{Allocator: alloc2, DisableEngineCache: true})
+		p2, err := New(in, Config{Allocator: alloc2, EngineOptions: step.EngineOptions{DisableEngineCache: true}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"math"
 	"sort"
 
@@ -45,57 +46,23 @@ type event struct {
 // popped in time order, including wakeups created while draining earlier
 // ones — the fixpoint that keeps late completion chains alive.
 type wakeupQueue struct {
-	heap []float64
+	sort.Float64Slice
 	seen map[float64]bool
 }
 
-func newWakeupQueue() *wakeupQueue {
-	return &wakeupQueue{seen: make(map[float64]bool)}
+func (q *wakeupQueue) Push(x any) { q.Float64Slice = append(q.Float64Slice, x.(float64)) }
+
+func (q *wakeupQueue) Pop() any {
+	h := q.Float64Slice
+	q.Float64Slice = h[:len(h)-1]
+	return h[len(h)-1]
 }
 
 func (q *wakeupQueue) push(at float64) {
-	if q.seen[at] {
-		return
+	if !q.seen[at] {
+		q.seen[at] = true
+		heap.Push(q, at)
 	}
-	q.seen[at] = true
-	q.heap = append(q.heap, at)
-	i := len(q.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if q.heap[p] <= q.heap[i] {
-			break
-		}
-		q.heap[p], q.heap[i] = q.heap[i], q.heap[p]
-		i = p
-	}
-}
-
-func (q *wakeupQueue) len() int { return len(q.heap) }
-
-func (q *wakeupQueue) min() float64 { return q.heap[0] }
-
-func (q *wakeupQueue) pop() float64 {
-	top := q.heap[0]
-	last := len(q.heap) - 1
-	q.heap[0] = q.heap[last]
-	q.heap = q.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < last && q.heap[l] < q.heap[best] {
-			best = l
-		}
-		if r < last && q.heap[r] < q.heap[best] {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		q.heap[i], q.heap[best] = q.heap[best], q.heap[i]
-		i = best
-	}
-	return top
 }
 
 func (p *Platform) runOnline() (*Result, error) {
@@ -137,7 +104,7 @@ func (p *Platform) runOnline() (*Result, error) {
 	// Wakeups re-examine pending tasks when a busy worker frees. New
 	// assignments push their finish time as they are made, so completions
 	// chained through the post-timeline drain keep generating wakeups.
-	wake := newWakeupQueue()
+	wake := &wakeupQueue{seen: make(map[float64]bool)}
 
 	var delaySum float64
 	var delayCount int
@@ -226,8 +193,8 @@ func (p *Platform) runOnline() (*Result, error) {
 		now := ev.at
 		// Process earlier wakeups first, in time order; sweeps may push
 		// fresh wakeups that still precede now.
-		for wake.len() > 0 && wake.min() <= now {
-			pendingSweep(wake.pop())
+		for wake.Len() > 0 && wake.Float64Slice[0] <= now {
+			pendingSweep(heap.Pop(wake).(float64))
 		}
 		if ev.task >= 0 {
 			tryAssign(ev.task, now)
@@ -238,8 +205,8 @@ func (p *Platform) runOnline() (*Result, error) {
 	// Drain remaining wakeups to a fixpoint: assignments made here set
 	// busyUntil times that push their own wakeups, so dependants completed
 	// after the last arrival still get their chance.
-	for wake.len() > 0 {
-		pendingSweep(wake.pop())
+	for wake.Len() > 0 {
+		pendingSweep(heap.Pop(wake).(float64))
 	}
 
 	for i := range in.Tasks {

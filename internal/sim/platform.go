@@ -10,12 +10,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"dasc/internal/core"
-	"dasc/internal/geo"
 	"dasc/internal/model"
 	"dasc/internal/obs"
+	"dasc/internal/step"
 )
 
 // Config parameterises a simulation run.
@@ -40,25 +39,9 @@ type Config struct {
 	// CollectDelays records each completed task's start delay (service
 	// start − task appearance) in Result.Delays for percentile analysis.
 	CollectDelays bool
-	// DisableEngineCache rebuilds every batch's candidate engine from
-	// scratch instead of carrying it across batches incrementally
-	// (core.EngineCache). The two builds agree exactly; the flag exists for
-	// A/B benchmarks and debugging.
-	DisableEngineCache bool
-	// VerifyEngineCache cross-checks the incrementally maintained candidate
-	// engine against a from-scratch build every batch and aborts the run on
-	// divergence. Differential-testing hook; expensive, leave off in
-	// production.
-	VerifyEngineCache bool
-	// DisableGameWorklist runs DASC_Game allocators with the naive full
-	// best-response sweep instead of the incremental worklist engine — the
-	// game-side analogue of DisableEngineCache. Ignored for non-game
-	// allocators.
-	DisableGameWorklist bool
-	// VerifyGameWorklist cross-checks the worklist engine against the naive
-	// sweep on every batch (identical assignments, rounds, update ratios) and
-	// aborts the run on divergence. Ignored for non-game allocators.
-	VerifyGameWorklist bool
+	// EngineOptions are the candidate- and game-engine knobs shared with
+	// the server (DisableEngineCache, VerifyEngineCache, ...).
+	step.EngineOptions
 	// OnBatch, when non-nil, observes every batch result. It fires after the
 	// batch's dispatches, so the result carries a complete BatchTrace
 	// (phase timings included). Setting it enables per-batch
@@ -128,32 +111,12 @@ func New(in *model.Instance, cfg Config) (*Platform, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.DisableGameWorklist {
-		if g, ok := cfg.Allocator.(*core.Game); ok {
-			cfg.Allocator = g.WithWorklistDisabled(true)
-		}
-	}
 	return &Platform{cfg: cfg, in: in}, nil
 }
 
 // Run executes the simulation to completion and returns aggregate metrics.
 func (p *Platform) Run() (*Result, error) {
 	in, cfg := p.in, p.cfg
-	dist := in.Distance()
-
-	type wstate struct {
-		locX, locY float64
-		busyUntil  float64
-		distUsed   float64
-	}
-	ws := make([]wstate, len(in.Workers))
-	for i := range in.Workers {
-		ws[i] = wstate{locX: in.Workers[i].Loc.X, locY: in.Workers[i].Loc.Y}
-	}
-
-	assigned := make(map[model.TaskID]bool)    // ever validly assigned (dependency obligation met)
-	botched := make(map[model.TaskID]bool)     // consumed by an invalid assignment
-	finishAt := make(map[model.TaskID]float64) // completion time per assigned task
 	res := &Result{WorkerAssignments: map[model.WorkerID]int{}}
 
 	// Time horizon: nothing can happen after every worker window and every
@@ -176,171 +139,32 @@ func (p *Platform) Run() (*Result, error) {
 		maxBatches = int((horizon-start)/cfg.BatchInterval) + 2
 	}
 
-	var delaySum float64
-	var delayCount int
-
-	// The candidate engine is carried across batches: unmoved workers'
-	// strategy sets are revalidated by time arithmetic instead of rebuilt.
-	cache := core.NewEngineCache()
-
+	st := step.New(step.Config{
+		Allocator:     cfg.Allocator,
+		EngineOptions: cfg.EngineOptions,
+		ServiceTime:   cfg.ServiceTime,
+		DisableReuse:  cfg.DisableReuse,
+		CollectDelays: cfg.CollectDelays,
+	}, in, math.Inf(-1))
 	for batch := 0; batch < maxBatches; batch++ {
 		now := start + float64(batch)*cfg.BatchInterval
-
-		// Active workers: appeared, within window, not busy.
-		var bws []core.BatchWorker
-		var wIdx []int
-		for i := range in.Workers {
-			w := &in.Workers[i]
-			if w.Start > now || now > w.Expiry() || ws[i].busyUntil > now {
-				continue
-			}
-			if cfg.DisableReuse && res.WorkerAssignments[w.ID] > 0 {
-				continue
-			}
-			bws = append(bws, core.BatchWorker{
-				W:          w,
-				Loc:        geo.Pt(ws[i].locX, ws[i].locY),
-				ReadyAt:    now,
-				DistBudget: w.MaxDist - ws[i].distUsed,
+		// Instrumentation is driven by the observer: no OnBatch sink means a
+		// nil recorder, and the step's recording sites reduce to nil checks.
+		var rec *obs.BatchRec
+		if cfg.OnBatch != nil {
+			rec = obs.NewBatchRec(batch, now)
+		}
+		out, err := st.Tick(now, rec)
+		if err != nil {
+			return nil, fmt.Errorf("sim: batch %d: %w", batch, err)
+		}
+		if rec != nil && out.Valid != nil {
+			cfg.OnBatch(BatchResult{
+				Index: batch, Time: now,
+				Workers: out.Workers, Tasks: out.Tasks,
+				Assignment: out.Valid,
+				Trace:      rec.Finish(),
 			})
-			wIdx = append(wIdx, i)
-		}
-		// Pending tasks: appeared, deadline not passed, never assigned.
-		var tasks []*model.Task
-		for i := range in.Tasks {
-			t := &in.Tasks[i]
-			if assigned[t.ID] || botched[t.ID] || t.Start > now || t.Deadline() < now {
-				continue
-			}
-			tasks = append(tasks, t)
-		}
-
-		if len(bws) > 0 && len(tasks) > 0 {
-			satisfied := make(map[model.TaskID]bool, len(assigned))
-			for id := range assigned {
-				satisfied[id] = true
-			}
-			b := core.NewBatch(in, bws, tasks, satisfied)
-			// Instrumentation is driven by the observer: no OnBatch sink
-			// means a nil recorder, and the engine's recording sites reduce
-			// to nil checks.
-			var rec *obs.BatchRec
-			var indexD, allocD, dispatchD time.Duration
-			var phaseStart time.Time
-			if cfg.OnBatch != nil {
-				rec = obs.NewBatchRec(batch, now)
-				b.SetRecorder(rec)
-				phaseStart = time.Now()
-			}
-			if !cfg.DisableEngineCache {
-				cache.Attach(b)
-				if cfg.VerifyEngineCache {
-					if err := b.VerifyIndex(); err != nil {
-						return nil, fmt.Errorf("sim: batch %d: engine cache diverged: %w", batch, err)
-					}
-				}
-			} else if rec != nil {
-				// Force the lazy build inside the timed window so the index
-				// phase is attributed correctly (the build is idempotent).
-				b.Index()
-			}
-			if rec != nil {
-				indexD = time.Since(phaseStart)
-				phaseStart = time.Now()
-			}
-			if cfg.VerifyGameWorklist {
-				if g, ok := cfg.Allocator.(*core.Game); ok {
-					if err := g.VerifyWorklist(b); err != nil {
-						return nil, fmt.Errorf("sim: batch %d: game worklist diverged: %w", batch, err)
-					}
-				}
-			}
-			m := cfg.Allocator.Assign(b)
-			rogue := core.DropUnknownWorkers(b, m)
-			res.RoguePairs += rogue
-			// Allocators may return raw assignments (the paper's Closest and
-			// Random baselines ignore dependencies); only the valid subset
-			// scores and satisfies dependency obligations. Invalid pairs
-			// still execute — the worker travels and the task is consumed —
-			// they are simply wasted, exactly the penalty the paper charges
-			// the oblivious baselines.
-			valid := core.DependencyFixpoint(b, m)
-			if rec != nil {
-				allocD = time.Since(phaseStart)
-			}
-			res.AssignedPairs += valid.Size()
-			res.AssignedWeight += valid.WeightSum(in)
-			res.WastedPairs += m.Size() - valid.Size()
-
-			// Mark valid pairs as assigned (the dependency obligation is met
-			// at assignment time, Definition 3 constraint 4) and botched
-			// tasks as consumed without satisfying anything.
-			for _, pair := range valid.Pairs {
-				assigned[pair.Task] = true
-			}
-			for _, pair := range m.Pairs {
-				botched[pair.Task] = true // valid ones are overridden below
-			}
-			for _, pair := range valid.Pairs {
-				delete(botched, pair.Task)
-			}
-			order := dependencyOrder(in, m)
-			validTask := valid.TaskSet()
-			if rec != nil {
-				phaseStart = time.Now()
-			}
-			for _, pair := range order {
-				// DropUnknownWorkers already removed pairs naming workers
-				// outside the batch; the guard stays as a backstop so a miss
-				// can never dispatch through batch index 0.
-				bi := b.WorkerIndex(pair.Worker)
-				if bi < 0 {
-					res.RoguePairs++
-					rogue++
-					continue
-				}
-				i := wIdx[bi]
-				w := &in.Workers[i]
-				t := in.Task(pair.Task)
-				from := geo.Pt(ws[i].locX, ws[i].locY)
-				d := dist(from, t.Loc)
-				travel := w.TravelTime(from, t.Loc, dist)
-				arrive := math.Max(now, t.Start) + travel
-				serviceStart := arrive
-				for _, dep := range t.Deps {
-					if fa, ok := finishAt[dep]; ok && fa > serviceStart {
-						serviceStart = fa
-					}
-				}
-				finish := serviceStart + cfg.ServiceTime
-				ws[i].locX, ws[i].locY = t.Loc.X, t.Loc.Y
-				ws[i].distUsed += d
-				ws[i].busyUntil = finish
-				res.TotalTravel += d
-				res.WorkerBusyTime += finish - now
-				res.WorkerAssignments[w.ID]++
-				if validTask[pair.Task] {
-					finishAt[t.ID] = finish
-					res.CompletedTasks++
-					delaySum += serviceStart - t.Start
-					delayCount++
-					if cfg.CollectDelays {
-						res.Delays = append(res.Delays, serviceStart-t.Start)
-					}
-				}
-			}
-			if rec != nil {
-				dispatchD = time.Since(phaseStart)
-				rec.SetPopulation(len(bws), len(tasks))
-				rec.SetOutcome(valid.Size(), m.Size()-valid.Size(), rogue)
-				rec.ObservePhases(indexD, allocD, dispatchD)
-				cfg.OnBatch(BatchResult{
-					Index: batch, Time: now,
-					Workers: len(bws), Tasks: len(tasks),
-					Assignment: valid,
-					Trace:      rec.Finish(),
-				})
-			}
 		}
 		res.Batches++
 		//lint:epsfloat-ok loop bound on the synthesized batch grid; both sides are recomputed identically every run, and a tolerance would change the batch count
@@ -349,46 +173,21 @@ func (p *Platform) Run() (*Result, error) {
 		}
 	}
 
-	for i := range in.Tasks {
-		id := in.Tasks[i].ID
-		if !assigned[id] && !botched[id] {
-			res.ExpiredTasks++
+	t := st.Totals()
+	res.AssignedPairs, res.AssignedWeight = t.Assigned, t.Weight
+	res.WastedPairs, res.RoguePairs = t.Wasted, t.Rogue
+	res.CompletedTasks, res.ExpiredTasks = t.Completed, st.Expired()
+	res.TotalTravel, res.WorkerBusyTime = t.Travel, t.BusyTime
+	res.Delays = t.Delays
+	for i := range in.Workers {
+		if n := st.Worker(i).Done; n > 0 {
+			res.WorkerAssignments[in.Workers[i].ID] = n
 		}
 	}
-	if delayCount > 0 {
-		res.MeanStartDelay = delaySum / float64(delayCount)
+	if t.DelayCount > 0 {
+		res.MeanStartDelay = t.DelaySum / float64(t.DelayCount)
 	} else {
 		res.MeanStartDelay = math.NaN()
 	}
 	return res, nil
-}
-
-// dependencyOrder returns the assignment's pairs ordered so that every task
-// appears after its in-assignment dependencies, enabling single-pass finish
-// time computation. The assignment's dependency consistency guarantees the
-// order exists.
-func dependencyOrder(in *model.Instance, m *model.Assignment) []model.Pair {
-	byTask := make(map[model.TaskID]model.Pair, len(m.Pairs))
-	for _, p := range m.Pairs {
-		byTask[p.Task] = p
-	}
-	visited := make(map[model.TaskID]bool, len(m.Pairs))
-	out := make([]model.Pair, 0, len(m.Pairs))
-	var visit func(id model.TaskID)
-	visit = func(id model.TaskID) {
-		if visited[id] {
-			return
-		}
-		visited[id] = true
-		for _, dep := range in.Task(id).Deps {
-			if _, ok := byTask[dep]; ok {
-				visit(dep)
-			}
-		}
-		out = append(out, byTask[id])
-	}
-	for _, p := range m.Pairs {
-		visit(p.Task)
-	}
-	return out
 }

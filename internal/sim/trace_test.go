@@ -7,6 +7,7 @@ import (
 	"dasc/internal/core"
 	"dasc/internal/model"
 	"dasc/internal/obs"
+	"dasc/internal/step"
 )
 
 // TestCSVColumnsAgree pins the header and every data row to the same column
@@ -115,9 +116,9 @@ func TestRunTraceMatchesCacheRegime(t *testing.T) {
 	var cached, uncached []obs.BatchTrace
 	run := func(disable bool, sink *[]obs.BatchTrace) {
 		p, err := New(in, Config{
-			Allocator:          core.NewGreedy(),
-			DisableEngineCache: disable,
-			OnBatch:            func(br BatchResult) { *sink = append(*sink, br.Trace) },
+			Allocator:     core.NewGreedy(),
+			EngineOptions: step.EngineOptions{DisableEngineCache: disable},
+			OnBatch:       func(br BatchResult) { *sink = append(*sink, br.Trace) },
 		})
 		if err != nil {
 			t.Fatal(err)

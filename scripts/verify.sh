@@ -50,8 +50,8 @@ fi
 echo "== go test"
 go test ./...
 
-echo "== go test -race (core, obs, sim, server, bench)"
-go test -race ./internal/core/... ./internal/obs/... ./internal/sim/... ./internal/server/... ./internal/bench/...
+echo "== go test -race (core, obs, step, sim, server, bench)"
+go test -race ./internal/core/... ./internal/obs/... ./internal/step/... ./internal/sim/... ./internal/server/... ./internal/bench/...
 
 # The incremental engine's ownership/determinism guards, re-run under the
 # race detector at two scheduler widths: GOMAXPROCS=2 forces heavy chunk
@@ -81,6 +81,21 @@ done
 echo "== go test -race ingest pipeline (GOMAXPROCS=2, 8)"
 for gmp in 2 8; do
 	GOMAXPROCS=$gmp go test -race ./internal/server/ -run 'TestIngest' -count 1
+done
+
+# Fuzz gate: every Fuzz* target in the module (the fast DTO scanner against
+# the strict decoder, the dataset readers on arbitrary bytes) runs for a
+# fixed budget. go test -fuzz takes one target per invocation, so targets
+# are discovered per package and run one by one. Override the budget with
+# DASC_FUZZTIME (a go test -fuzztime value).
+fuzztime=${DASC_FUZZTIME:-10s}
+echo "== fuzz (${fuzztime} per target)"
+for pkg in $(go list ./...); do
+	dir=$(go list -f '{{.Dir}}' "$pkg")
+	for target in $(grep -ho '^func Fuzz[A-Za-z0-9_]*' "$dir"/*_test.go 2>/dev/null | sed 's/^func //'); do
+		echo "   $pkg $target"
+		go test "$pkg" -run '^$' -fuzz "^${target}\$" -fuzztime "$fuzztime" >/dev/null
+	done
 done
 
 echo "== bench smoke"
