@@ -74,15 +74,37 @@ func finishAssignment(b *Batch, a *model.Assignment) *model.Assignment {
 // that is neither kept in the assignment nor in b.Satisfied, until stable.
 // The result satisfies the dependency constraint by construction.
 func DependencyFixpoint(b *Batch, a *model.Assignment) *model.Assignment {
+	// kept marks the current round's tasks by pending index. A pair naming a
+	// task outside the batch (only a misbehaving allocator produces one)
+	// still counts as kept, through keptOff.
+	kept := make([]bool, len(b.Tasks))
+	var keptOff map[model.TaskID]bool
+	isKept := func(id model.TaskID) bool {
+		if ti := b.TaskIndex(id); ti >= 0 {
+			return kept[ti]
+		}
+		return keptOff[id]
+	}
 	cur := a
 	for {
-		kept := cur.TaskSet()
+		clear(kept)
+		clear(keptOff)
+		for _, p := range cur.Pairs {
+			if ti := b.TaskIndex(p.Task); ti >= 0 {
+				kept[ti] = true
+				continue
+			}
+			if keptOff == nil {
+				keptOff = make(map[model.TaskID]bool)
+			}
+			keptOff[p.Task] = true
+		}
 		next := model.NewAssignment()
 		for _, p := range cur.Pairs {
 			t := b.In.Task(p.Task)
 			ok := true
 			for _, d := range t.Deps {
-				if !kept[d] && !b.Satisfied[d] {
+				if !b.Satisfied.Has(d) && !isKept(d) {
 					ok = false
 					break
 				}

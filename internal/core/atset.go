@@ -25,24 +25,26 @@ type atSet struct {
 // for one task — that would turn a staffable set spuriously infeasible.
 func atSets(b *Batch) []*atSet {
 	var sets []*atSet
-	seen := make(map[int]bool)
+	// seen[di] == ti+1 marks pending task di as a member of ti's set; the
+	// stamp changes with the anchor, so the slice is never cleared.
+	seen := make([]int32, len(b.Tasks))
 	for ti, t := range b.Tasks {
 		if !b.DepSatisfiable(t) {
 			continue
 		}
 		s := &atSet{anchor: ti}
-		clear(seen)
-		seen[ti] = true
+		stamp := int32(ti + 1)
+		seen[ti] = stamp
 		s.members = append(s.members, ti)
 		for _, d := range t.Deps {
-			if b.Satisfied[d] {
+			if b.Satisfied.Has(d) {
 				continue
 			}
 			di := b.TaskIndex(d)
-			if seen[di] {
+			if seen[di] == stamp {
 				continue
 			}
-			seen[di] = true
+			seen[di] = stamp
 			s.members = append(s.members, di)
 		}
 		s.alive = len(s.members)

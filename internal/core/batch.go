@@ -40,12 +40,12 @@ type Batch struct {
 	Workers []BatchWorker
 	Tasks   []*model.Task
 	// Satisfied marks tasks assigned or completed in earlier batches; a
-	// dependency on such a task is considered met.
-	Satisfied map[model.TaskID]bool
+	// dependency on such a task is considered met. It is lk.Satisfied.
+	Satisfied model.TaskBits
 
-	dist    geo.DistanceFunc
-	pending map[model.TaskID]int   // task ID -> index into Tasks
-	widx    map[model.WorkerID]int // worker ID -> index into Workers
+	dist geo.DistanceFunc
+	lk   *TaskLookups           // dense task-ID lookups (lookups.go)
+	widx map[model.WorkerID]int // worker ID -> index into Workers
 
 	idxOnce sync.Once
 	idx     *BatchIndex
@@ -66,40 +66,29 @@ type Batch struct {
 // the paper's per-batch analysis and of the small-scale experiment: every
 // worker at its declared location with its full budget.
 func NewStaticBatch(in *model.Instance) *Batch {
-	b := &Batch{
-		In:        in,
-		Satisfied: make(map[model.TaskID]bool),
-	}
+	var workers []BatchWorker
 	for i := range in.Workers {
 		w := &in.Workers[i]
-		b.Workers = append(b.Workers, BatchWorker{
+		workers = append(workers, BatchWorker{
 			W: w, Loc: w.Loc, ReadyAt: w.Start, DistBudget: w.MaxDist,
 		})
 	}
+	var tasks []*model.Task
 	for i := range in.Tasks {
-		b.Tasks = append(b.Tasks, &in.Tasks[i])
+		tasks = append(tasks, &in.Tasks[i])
 	}
-	b.init()
-	return b
+	return NewBatch(in, workers, tasks, nil)
 }
 
 // NewBatch assembles a batch from explicit worker states and task pointers.
-// satisfied may be nil.
+// satisfied may be nil. The batch gets its own dense lookups, sized by the
+// largest task ID it names; the platforms' per-tick path is NewLiveBatch.
 func NewBatch(in *model.Instance, workers []BatchWorker, tasks []*model.Task, satisfied map[model.TaskID]bool) *Batch {
-	if satisfied == nil {
-		satisfied = make(map[model.TaskID]bool)
-	}
-	b := &Batch{In: in, Workers: workers, Tasks: tasks, Satisfied: satisfied}
-	b.init()
-	return b
+	return NewLiveBatch(in, workers, tasks, newOwnLookups(tasks, satisfied))
 }
 
 func (b *Batch) init() {
 	b.dist = b.In.Distance()
-	b.pending = make(map[model.TaskID]int, len(b.Tasks))
-	for i, t := range b.Tasks {
-		b.pending[t.ID] = i
-	}
 	b.widx = make(map[model.WorkerID]int, len(b.Workers))
 	for i := range b.Workers {
 		b.widx[b.Workers[i].W.ID] = i
@@ -120,7 +109,12 @@ func (b *Batch) Recorder() *obs.BatchRec { return b.rec }
 // TaskIndex returns the index of task id within b.Tasks, or -1 when the task
 // is not pending in this batch.
 func (b *Batch) TaskIndex(id model.TaskID) int {
-	if i, ok := b.pending[id]; ok {
+	if uint(id) >= uint(len(b.lk.pos)) {
+		return -1
+	}
+	// pos holds stale entries for tasks outside this batch; only an entry
+	// pointing back at its own task is current (see TaskLookups).
+	if i := int(b.lk.pos[id]); i < len(b.Tasks) && b.Tasks[i].ID == id {
 		return i
 	}
 	return -1
@@ -249,10 +243,7 @@ func (b *Batch) ScanCandidateWorkers(t *model.Task) []int {
 // satisfied or pending in this batch (so it could be co-assigned).
 func (b *Batch) DepSatisfiable(t *model.Task) bool {
 	for _, d := range t.Deps {
-		if b.Satisfied[d] {
-			continue
-		}
-		if _, ok := b.pending[d]; !ok {
+		if !b.Satisfied.Has(d) && b.TaskIndex(d) < 0 {
 			return false
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -76,7 +75,13 @@ type EngineCache struct {
 	workers map[model.WorkerID]*cachedWorker
 	// pending is the set of task IDs pending in the last batch, maintained
 	// in place by the per-batch task diff (and rebuilt only on adopt).
-	pending map[model.TaskID]bool
+	// Each pending task holds a slot, its key in the grid: slotTask maps a
+	// slot back to its task (-1 when free) and freeSlots recycles departed
+	// tasks' slots, so the grid's per-key storage is sized by the live task
+	// count, never by the task IDs, which grow with the server's history.
+	pending   map[model.TaskID]bool
+	slotTask  []model.TaskID
+	freeSlots []int32
 
 	// free recycles cachedWorker structs of departed workers, buffers
 	// included; structs/ids/floats are the slabs new cache-side
@@ -95,7 +100,7 @@ type EngineCache struct {
 	arrived []int32
 
 	// grid spatially indexes the pending task locations across batches,
-	// keyed by int(TaskID); maintained by Insert/Remove as tasks arrive and
+	// keyed by slot; maintained by Insert/Remove as tasks arrive and
 	// depart. nil when the metric admits no Euclidean lower bound.
 	grid     *geo.GridIndex
 	gridable bool
@@ -208,9 +213,6 @@ func (c *EngineCache) adopt(b *Batch, idx *BatchIndex) {
 	if ok && len(b.Tasks) > 0 {
 		box := pendingBBox(b)
 		c.grid = geo.NewGridIndex(box, len(b.Tasks)+1)
-		for _, t := range b.Tasks {
-			c.grid.Insert(int(t.ID), t.Loc)
-		}
 		b.rec.AddGridOps(int64(len(b.Tasks)))
 		c.boxScale = scale
 		c.boxArea = box.Width() * box.Height()
@@ -218,8 +220,8 @@ func (c *EngineCache) adopt(b *Batch, idx *BatchIndex) {
 			c.boxArea = 1e-18
 		}
 	}
-	c.absorbWorkers(b, idx)
 	c.refreshPending(b)
+	c.absorbWorkers(b, idx)
 }
 
 // cacheScratch is one incremental-build goroutine's private state: the
@@ -248,29 +250,30 @@ func (c *EngineCache) incrementalN(b *Batch, procs int) *BatchIndex {
 	// batch's pending set, so absorb needs no re-keying.
 	departed := 0
 	gridOps := 0
-	for id := range c.pending {
-		if _, ok := b.pending[id]; !ok {
-			departed++
-			delete(c.pending, id)
-			if c.grid != nil {
-				c.grid.Remove(int(id))
-				gridOps++
-			}
+	for slot, id := range c.slotTask {
+		if id < 0 || b.TaskIndex(id) >= 0 {
+			continue
+		}
+		departed++
+		delete(c.pending, id)
+		c.slotTask[slot] = -1
+		c.freeSlots = append(c.freeSlots, int32(slot))
+		if c.grid != nil {
+			c.grid.Remove(slot)
+			gridOps++
 		}
 	}
+	// Scanning the batch in order leaves arrived ascending.
 	arrived := c.arrived[:0]
-	//lint:deterministic-ok iteration order is laundered by the slices.Sort below before anything reads arrived
-	for id, ti := range b.pending {
-		if !c.pending[id] {
+	for ti, t := range b.Tasks {
+		if !c.pending[t.ID] {
 			arrived = append(arrived, int32(ti))
-			c.pending[id] = true
+			c.addPending(t)
 			if c.grid != nil {
-				c.grid.Insert(int(id), b.Tasks[ti].Loc)
 				gridOps++
 			}
 		}
 	}
-	slices.Sort(arrived)
 	c.arrived = arrived
 	c.stats.TasksDeparted += departed
 	c.stats.TasksArrived += len(arrived)
@@ -379,8 +382,8 @@ func (c *EngineCache) revalidate(b *Batch, wi int, cw *cachedWorker, newBySkill 
 	sc.costs = sc.costs[:0]
 	reused := 0
 	for k, id := range cw.tasks {
-		ti, ok := b.pending[id]
-		if !ok {
+		ti := b.TaskIndex(id)
+		if ti < 0 {
 			continue // task departed
 		}
 		reused++
@@ -445,9 +448,9 @@ func (c *EngineCache) rebuildWorker(b *Batch, wi int, bySkill map[model.Skill][]
 	}
 	if useGrid {
 		sc.grid = c.grid.Within(bw.Loc, c.boxScale*(bw.DistBudget+model.DistEps), sc.grid[:0])
-		for _, id := range sc.grid {
-			ti, ok := b.pending[model.TaskID(id)]
-			if !ok {
+		for _, slot := range sc.grid {
+			ti := b.TaskIndex(c.slotTask[slot])
+			if ti < 0 {
 				continue
 			}
 			if bw.W.Skills.Has(b.Tasks[ti].Requires) {
@@ -533,15 +536,38 @@ func (c *EngineCache) absorbWorkers(b *Batch, idx *BatchIndex) {
 	c.valid = true
 }
 
-// refreshPending rebuilds the pending-task set from scratch (adopt path;
-// the incremental path maintains it by diff). The map is reused.
+// refreshPending rebuilds the pending-task slots, and fills the grid when
+// there is one, from scratch (adopt path; the incremental path maintains
+// them by diff). The map and slot buffers are reused.
 func (c *EngineCache) refreshPending(b *Batch) {
 	if c.pending == nil {
 		c.pending = make(map[model.TaskID]bool, len(b.Tasks))
 	} else {
 		clear(c.pending)
 	}
+	c.slotTask = c.slotTask[:0]
+	c.freeSlots = c.freeSlots[:0]
 	for _, t := range b.Tasks {
-		c.pending[t.ID] = true
+		if !c.pending[t.ID] {
+			c.addPending(t)
+		}
+	}
+}
+
+// addPending gives task t a slot, recycling a free one first, and enters
+// it in the grid.
+func (c *EngineCache) addPending(t *model.Task) {
+	var slot int32
+	if n := len(c.freeSlots); n > 0 {
+		slot = c.freeSlots[n-1]
+		c.freeSlots = c.freeSlots[:n-1]
+		c.slotTask[slot] = t.ID
+	} else {
+		slot = int32(len(c.slotTask))
+		c.slotTask = append(c.slotTask, t.ID)
+	}
+	c.pending[t.ID] = true
+	if c.grid != nil {
+		c.grid.Insert(int(slot), t.Loc)
 	}
 }

@@ -53,7 +53,7 @@ func (e *ExactDP) AssignExact(b *Batch) (*model.Assignment, bool) {
 	dead := uint32(0)
 	for ti, t := range b.Tasks {
 		for _, d := range t.Deps {
-			if b.Satisfied[d] {
+			if b.Satisfied.Has(d) {
 				continue
 			}
 			di := b.TaskIndex(d)

@@ -377,7 +377,7 @@ func dependencyFixpointIndexed(b *Batch, taskOf []int32) {
 			}
 			ok := true
 			for _, d := range b.Tasks[ti].Deps {
-				if b.Satisfied[d] {
+				if b.Satisfied.Has(d) {
 					continue
 				}
 				if di := b.TaskIndex(d); di < 0 || !kept[di] {

@@ -36,7 +36,7 @@ func validateBatchAssignment(t *testing.T, b *Batch, a *model.Assignment) {
 			t.Fatalf("infeasible pair (w%d,t%d)", p.Worker, p.Task)
 		}
 		for _, d := range b.In.Task(p.Task).Deps {
-			if !assigned[d] && !b.Satisfied[d] {
+			if !assigned[d] && !b.Satisfied.Has(d) {
 				t.Fatalf("task t%d assigned with unmet dependency t%d", p.Task, d)
 			}
 		}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"dasc/internal/model"
-)
+import "sync"
 
 // gameWiring is the batch-invariant dependency structure Equation 3 is
 // evaluated over: the unsatisfied-dependency relation and its inverse as flat
@@ -53,19 +49,18 @@ func buildGameWiring(b *Batch) *gameWiring {
 
 	// Duplicate dependency entries (possible in instances that bypass
 	// Validate) are collapsed so |D_t| and the dependant lists stay true to
-	// the set semantics of Equation 3. The generation stamp is the task index
-	// plus one, so the map never needs clearing between tasks.
-	seen := make(map[model.TaskID]int)
+	// the set semantics of Equation 3. Each task takes a fresh stamp from
+	// the batch's lookups, so the stamp slice is never cleared.
+	lk := b.lk
 	for ti, t := range b.Tasks {
 		w.weight[ti] = t.EffWeight()
-		gen := ti + 1
+		stamp := lk.nextStamp()
 		for _, d := range t.Deps {
-			if seen[d] == gen {
+			if lk.markOnce(d, stamp) {
 				continue
 			}
-			seen[d] = gen
 			w.depCount[ti]++
-			if b.Satisfied[d] {
+			if b.Satisfied.Has(d) {
 				w.satisfiedDeps[ti]++
 				continue
 			}

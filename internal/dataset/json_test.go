@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"dasc/internal/core"
 	"dasc/internal/gen"
 	"dasc/internal/model"
 )
@@ -63,6 +64,71 @@ func TestRoundTripGenerated(t *testing.T) {
 		if !reflect.DeepEqual(in.Tasks[i].Deps, out.Tasks[i].Deps) {
 			t.Fatalf("deps of task %d changed", i)
 		}
+	}
+}
+
+// TestGeneratedFileRoundTripsByteIdentical: dasc-gen's lists are already
+// closed, so closing them on load must leave every byte of the file as it
+// was.
+func TestGeneratedFileRoundTripsByteIdentical(t *testing.T) {
+	for _, in := range []*model.Instance{model.Example1(), mustGenerate(t)} {
+		var first, second bytes.Buffer
+		if err := Write(&first, in); err != nil {
+			t.Fatal(err)
+		}
+		out, err := Read(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Write(&second, out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("Read then Write changed the file")
+		}
+	}
+}
+
+func mustGenerate(t *testing.T) *model.Instance {
+	t.Helper()
+	in, err := gen.Synthetic(gen.DefaultSynthetic().Scale(0.02))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// TestReadClosesDependencies: a file lists t0 → [t1] and t1 → [t2], not
+// closed. Loaded as written, Greedy's associative set for t0 would be
+// {t0, t1} without t2: with only two workers it staffs that set first
+// (largest, lowest anchor), then has no worker left for t2, and the
+// dependency fixpoint drops both pairs. Closed on load, t0's set is
+// {t0, t1, t2}, which two workers cannot staff, so Greedy staffs {t1, t2}.
+func TestReadClosesDependencies(t *testing.T) {
+	body := `{"version": 1, "skill_universe": 1,
+	  "workers": [
+	    {"id":0,"x":0,"y":0,"start":0,"wait":100,"velocity":1,"max_dist":100,"skills":[0]},
+	    {"id":1,"x":0,"y":0,"start":0,"wait":100,"velocity":1,"max_dist":100,"skills":[0]}],
+	  "tasks": [
+	    {"id":0,"x":1,"y":0,"start":0,"wait":100,"requires":0,"deps":[1]},
+	    {"id":1,"x":1,"y":0,"start":0,"wait":100,"requires":0,"deps":[2]},
+	    {"id":2,"x":1,"y":0,"start":0,"wait":100,"requires":0}]}`
+	in, err := Read(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range [][]model.TaskID{{1, 2}, {2}, nil} {
+		if got := in.Tasks[id].Deps; !reflect.DeepEqual(got, want) {
+			t.Errorf("t%d deps = %v, want %v", id, got, want)
+		}
+	}
+	a := core.NewGreedy().Assign(core.NewStaticBatch(in))
+	var got []model.TaskID
+	for _, p := range a.Pairs {
+		got = append(got, p.Task)
+	}
+	if want := []model.TaskID{1, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Greedy assigned tasks %v, want %v", got, want)
 	}
 }
 

@@ -63,9 +63,16 @@ func (in *Instance) DepGraph() (*dag.Graph, error) {
 }
 
 // Validate checks structural sanity: consistent IDs, non-negative temporal
-// and spatial parameters, known dependency targets, and acyclic (in fact
-// transitively closed) dependencies. Generators and the dataset loader call
-// it before handing an instance to the allocators.
+// and spatial parameters, known, distinct and non-self dependency targets,
+// and acyclic dependencies. It does not check that dependency lists are
+// transitively closed; the dataset loader closes them, the generators build
+// them closed. Generators and the dataset loader call it before handing an
+// instance to the allocators.
+//
+// It runs in O(workers + tasks + dependency entries): duplicates are found
+// with one generation-stamped slice and acyclicity with an iterative DFS
+// over the lists themselves. Only a cyclic instance pays for a dag.Graph,
+// whose FindCycle names the cycle in the error.
 func (in *Instance) Validate() error {
 	for i := range in.Workers {
 		w := &in.Workers[i]
@@ -79,6 +86,9 @@ func (in *Instance) Validate() error {
 			return fmt.Errorf("model: worker w%d has no skills", w.ID)
 		}
 	}
+	// seen[d] == i+1 marks d as already listed by task i; the stamp changes
+	// with the task, so the slice is never cleared.
+	seen := make([]int32, len(in.Tasks))
 	for i := range in.Tasks {
 		t := &in.Tasks[i]
 		if int(t.ID) != i {
@@ -90,7 +100,7 @@ func (in *Instance) Validate() error {
 		if t.Requires < 0 {
 			return fmt.Errorf("model: task t%d has negative required skill", t.ID)
 		}
-		seen := make(map[TaskID]bool, len(t.Deps))
+		stamp := int32(i + 1)
 		for _, d := range t.Deps {
 			if in.Task(d) == nil {
 				return fmt.Errorf("model: task t%d depends on unknown task t%d", t.ID, d)
@@ -98,20 +108,60 @@ func (in *Instance) Validate() error {
 			if d == t.ID {
 				return fmt.Errorf("model: task t%d depends on itself", t.ID)
 			}
-			if seen[d] {
+			if seen[d] == stamp {
 				return fmt.Errorf("model: task t%d lists dependency t%d twice", t.ID, d)
 			}
-			seen[d] = true
+			seen[d] = stamp
 		}
+	}
+	if in.depsAcyclic() {
+		return nil
 	}
 	g, err := in.DepGraph()
 	if err != nil {
 		return err
 	}
-	if cyc := g.FindCycle(); cyc != nil {
-		return fmt.Errorf("model: dependency cycle %v: %w", cyc, dag.ErrCycle)
+	return fmt.Errorf("model: dependency cycle %v: %w", g.FindCycle(), dag.ErrCycle)
+}
+
+// depsAcyclic reports whether the dependency lists, already checked to name
+// known tasks, form no cycle: an iterative three-colour DFS straight over
+// Tasks[i].Deps, one frame per task on the path.
+func (in *Instance) depsAcyclic() bool {
+	const (
+		white = iota // unvisited
+		grey         // on the DFS path
+		black        // finished
+	)
+	type frame struct{ task, next int32 }
+	color := make([]uint8, len(in.Tasks))
+	var stack []frame
+	for root := range in.Tasks {
+		if color[root] != white {
+			continue
+		}
+		color[root] = grey
+		stack = append(stack[:0], frame{task: int32(root)})
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			deps := in.Tasks[f.task].Deps
+			if int(f.next) == len(deps) {
+				color[f.task] = black
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			d := deps[f.next]
+			f.next++
+			switch color[d] {
+			case grey:
+				return false
+			case white:
+				color[d] = grey
+				stack = append(stack, frame{task: int32(d)})
+			}
+		}
 	}
-	return nil
+	return true
 }
 
 // CloseDeps replaces every task's dependency list with its transitive

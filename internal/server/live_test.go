@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -174,63 +175,120 @@ func savedString(sv step.Saved) string {
 		sv.Now, len(sv.Workers), len(sv.Tasks), sv.State, sv.Assigned, sv.Botched, sv.Wasted, sv.Rogue)
 }
 
+// historyPlatform is a server whose retired history holds retired entities
+// (half workers, half tasks, half of those tasks assigned), installed
+// through the snapshot-restore path, plus live workers that stay idle and
+// in range for good. Each tick call registers live fresh tasks and runs one
+// tick ten time units later, so the live batch is the same size every
+// tick however large the history.
+type historyPlatform struct {
+	p   *Platform
+	now float64
+	it  int
+}
+
+const historyLive = 50
+
+func newHistoryPlatform(tb testing.TB, retired int) *historyPlatform {
+	tb.Helper()
+	p, err := NewPlatform(Config{Allocator: core.NewGreedy()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const t0 = 100.0
+	n := retired / 2
+	sv := step.Saved{Now: t0, Workers: make([]model.Worker, n), Tasks: make([]model.Task, n), State: make([]step.WorkerState, n)}
+	for i := 0; i < n; i++ {
+		loc := geo.Pt(float64(i%1000), float64(i/1000%1000))
+		sv.Workers[i] = model.Worker{ID: model.WorkerID(i), Loc: loc, Wait: 50, Velocity: 1, MaxDist: 10, Skills: model.NewSkillSet(0)}
+		sv.Tasks[i] = model.Task{ID: model.TaskID(i), Loc: loc, Wait: 50}
+		sv.State[i] = step.WorkerState{X: loc.X, Y: loc.Y}
+		if i%2 == 0 {
+			sv.Assigned = append(sv.Assigned, step.Commit{Worker: model.WorkerID(i), Task: model.TaskID(i), FinishAt: 1})
+		}
+	}
+	p.mu.Lock()
+	p.st.Restore(sv)
+	p.publishViewLocked()
+	p.mu.Unlock()
+
+	for i := 0; i < historyLive; i++ {
+		if _, err := p.AddWorker(model.Worker{Loc: geo.Pt(float64(i), 0), Start: t0, Wait: 1e9, Velocity: 1, MaxDist: 1e9, Skills: model.NewSkillSet(0)}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return &historyPlatform{p: p, now: t0}
+}
+
+// register adds the next tick's fresh tasks.
+func (h *historyPlatform) register(tb testing.TB) {
+	h.now += 10
+	for i := 0; i < historyLive; i++ {
+		if _, err := h.p.AddTask(model.Task{Loc: geo.Pt(float64((i*7+h.it)%historyLive), 1), Start: h.now, Wait: 3}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	h.it++
+}
+
+func (h *historyPlatform) tick(tb testing.TB) {
+	if _, err := h.p.Tick(h.now); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // BenchmarkTickRetiredHistory holds the live batch at ~50 workers × 50
 // tasks while the retired history behind it grows from 0 to 1M entities:
-// with the live-state step the tick cost must not follow the history. The
-// history is installed through the snapshot-restore path (half workers,
-// half tasks, half of those tasks assigned); each iteration registers 50
-// fresh tasks (untimed) and times one tick. Run with a fixed -benchtime
-// such as 200x: every iteration adds 50 tasks to the history.
+// with the live-state step the tick cost must not follow the history. Each
+// iteration registers 50 fresh tasks (untimed) and times one tick. Run with
+// a fixed -benchtime such as 200x: every iteration adds 50 tasks to the
+// history.
 func BenchmarkTickRetiredHistory(b *testing.B) {
 	for _, retired := range []int{0, 20_000, 200_000, 1_000_000} {
 		b.Run(fmt.Sprintf("retired=%d", retired), func(b *testing.B) {
-			p, err := NewPlatform(Config{Allocator: core.NewGreedy()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			const t0 = 100.0
-			n := retired / 2
-			sv := step.Saved{Now: t0, Workers: make([]model.Worker, n), Tasks: make([]model.Task, n), State: make([]step.WorkerState, n)}
-			for i := 0; i < n; i++ {
-				loc := geo.Pt(float64(i%1000), float64(i/1000%1000))
-				sv.Workers[i] = model.Worker{ID: model.WorkerID(i), Loc: loc, Wait: 50, Velocity: 1, MaxDist: 10, Skills: model.NewSkillSet(0)}
-				sv.Tasks[i] = model.Task{ID: model.TaskID(i), Loc: loc, Wait: 50}
-				sv.State[i] = step.WorkerState{X: loc.X, Y: loc.Y}
-				if i%2 == 0 {
-					sv.Assigned = append(sv.Assigned, step.Commit{Worker: model.WorkerID(i), Task: model.TaskID(i), FinishAt: 1})
-				}
-			}
-			p.mu.Lock()
-			p.st.Restore(sv)
-			p.publishViewLocked()
-			p.mu.Unlock()
-
-			const live = 50
-			for i := 0; i < live; i++ {
-				if _, err := p.AddWorker(model.Worker{Loc: geo.Pt(float64(i), 0), Start: t0, Wait: 1e9, Velocity: 1, MaxDist: 1e9, Skills: model.NewSkillSet(0)}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			now := t0
+			h := newHistoryPlatform(b, retired)
 			b.ResetTimer()
 			for it := 0; it < b.N; it++ {
 				b.StopTimer()
-				now += 10
-				for i := 0; i < live; i++ {
-					if _, err := p.AddTask(model.Task{Loc: geo.Pt(float64((i*7+it)%live), 1), Start: now, Wait: 3}); err != nil {
-						b.Fatal(err)
-					}
-				}
+				h.register(b)
 				b.StartTimer()
-				if _, err := p.Tick(now); err != nil {
-					b.Fatal(err)
-				}
+				h.tick(b)
 			}
 			b.StopTimer()
-			lw, lt, rw, rt := p.st.Population()
+			lw, lt, rw, rt := h.p.st.Population()
 			b.ReportMetric(float64(lw), "live_workers")
 			b.ReportMetric(float64(lt), "live_tasks")
 			b.ReportMetric(float64(rw+rt), "retired")
 		})
 	}
+}
+
+// TestTickAllocationIndependentOfHistory pins the O(live) tick budget: the
+// bytes a tick allocates (runtime.MemStats.TotalAlloc around Tick alone)
+// over a fixed live batch must not grow with the retired history, the
+// first tick after the restore included. A tick that sized anything by the
+// registry, such as task-ID lookups built per batch or a spatial grid keyed
+// by task ID, allocates ~1 MB or more extra at 200K retired entities.
+func TestTickAllocationIndependentOfHistory(t *testing.T) {
+	perTick := func(retired int) uint64 {
+		h := newHistoryPlatform(t, retired)
+		var before, after runtime.MemStats
+		var total uint64
+		const ticks = 25
+		for k := 0; k < ticks; k++ {
+			h.register(t)
+			runtime.ReadMemStats(&before)
+			h.tick(t)
+			runtime.ReadMemStats(&after)
+			total += after.TotalAlloc - before.TotalAlloc
+		}
+		return total / ticks
+	}
+	small, large := perTick(0), perTick(200_000)
+	// Map layouts and slice growth differ a little between runs; history
+	// proportional allocation would exceed this by orders of magnitude.
+	if bound := small + small/10 + 8<<10; large > bound {
+		t.Errorf("tick allocates %d B at 200K retired entities, %d B at none (bound %d B)", large, small, bound)
+	}
+	t.Logf("per-tick allocation: %d B at 0 retired, %d B at 200K", small, large)
 }

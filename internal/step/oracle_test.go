@@ -108,7 +108,7 @@ func (o *Oracle) Tick(now float64) (Outcome, error) {
 	o.Totals.Weight += valid.WeightSum(in)
 	o.Totals.Wasted += raw.Size() - valid.Size()
 	validSet := valid.TaskSet()
-	for _, pair := range dependencyOrder(in, raw) {
+	for _, pair := range dependencyOrderMap(in, raw) {
 		bi := b.WorkerIndex(pair.Worker)
 		if bi < 0 {
 			out.Rogue++
@@ -146,6 +146,34 @@ func (o *Oracle) Tick(now float64) (Outcome, error) {
 	return out, nil
 }
 
+// dependencyOrderMap is the map-based dependencyOrder that the step's
+// dense version replaced, kept as the oracle's own reference.
+func dependencyOrderMap(in *model.Instance, m *model.Assignment) []model.Pair {
+	byTask := make(map[model.TaskID]model.Pair, len(m.Pairs))
+	for _, p := range m.Pairs {
+		byTask[p.Task] = p
+	}
+	visited := make(map[model.TaskID]bool, len(m.Pairs))
+	out := make([]model.Pair, 0, len(m.Pairs))
+	var visit func(id model.TaskID)
+	visit = func(id model.TaskID) {
+		if visited[id] {
+			return
+		}
+		visited[id] = true
+		for _, dep := range in.Task(id).Deps {
+			if _, ok := byTask[dep]; ok {
+				visit(dep)
+			}
+		}
+		out = append(out, byTask[id])
+	}
+	for _, p := range m.Pairs {
+		visit(p.Task)
+	}
+	return out
+}
+
 // SortedAssigned returns the oracle's valid pairs sorted by task: the
 // server's assignment view rebuilt from the map.
 func (o *Oracle) SortedAssigned() []model.Pair {
@@ -167,22 +195,22 @@ func (s *Step) Diff(o *Oracle) error {
 	if got, want := s.Assignments().Pairs, o.SortedAssigned(); !slices.Equal(got, want) {
 		return fmt.Errorf("assignments differ:\nstep   %v\noracle %v", got, want)
 	}
-	if len(s.botched) != len(o.Botched) {
-		return fmt.Errorf("botched: %d tasks, oracle %d", len(s.botched), len(o.Botched))
-	}
-	for id := range o.Botched {
-		if !s.botched[id] {
-			return fmt.Errorf("task t%d botched only in the oracle", id)
+	for i := range s.in.Tasks {
+		id := model.TaskID(i)
+		if s.botched.Has(id) != o.Botched[id] {
+			return fmt.Errorf("task t%d botched: step %v, oracle %v", id, s.botched.Has(id), o.Botched[id])
+		}
+		fa, ok := o.FinishAt[id]
+		if s.lk.Satisfied.Has(id) != ok {
+			return fmt.Errorf("task t%d satisfied: step %v, oracle %v", id, s.lk.Satisfied.Has(id), ok)
+		}
+		if ok && math.Float64bits(s.finishAt[id]) != math.Float64bits(fa) {
+			return fmt.Errorf("finishAt[t%d] = %v, oracle %v", id, s.finishAt[id], fa)
 		}
 	}
-	for id, fa := range o.FinishAt {
-		if got, ok := s.finishAt[id]; !ok || math.Float64bits(got) != math.Float64bits(fa) {
-			return fmt.Errorf("finishAt[t%d] = %v, oracle %v", id, got, fa)
-		}
-	}
-	if len(s.satisfied) != len(o.Assigned) || len(s.finishAt) != len(o.FinishAt) {
-		return fmt.Errorf("satisfied/finishAt sizes %d/%d, oracle %d/%d",
-			len(s.satisfied), len(s.finishAt), len(o.Assigned), len(o.FinishAt))
+	if s.nBotched != len(o.Botched) || s.assigned != len(o.Assigned) {
+		return fmt.Errorf("botched/assigned counts %d/%d, oracle %d/%d",
+			s.nBotched, s.assigned, len(o.Botched), len(o.Assigned))
 	}
 	if !totalsEqual(s.totals, o.Totals) {
 		return fmt.Errorf("totals %+v, oracle %+v", s.totals, o.Totals)

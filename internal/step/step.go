@@ -84,11 +84,18 @@ type Step struct {
 	dist  geo.DistanceFunc
 	now   float64
 
-	ws        []WorkerState
-	satisfied map[model.TaskID]bool // validly assigned; every batch's Satisfied
-	botched   map[model.TaskID]bool // consumed by an invalid dispatch
-	finishAt  map[model.TaskID]float64
-	commits   []model.Pair // valid pairs in dispatch order; append-only
+	ws []WorkerState
+	// lk holds the task-ID-indexed state every batch reads: its Satisfied
+	// set is the validly assigned tasks. The per-task slices below are
+	// indexed by task ID too, and all of them grow at registration, so a
+	// tick never allocates or clears anything sized by the history.
+	lk       core.TaskLookups
+	botched  model.TaskBits // consumed by an invalid dispatch
+	finishAt []float64      // finish time of a satisfied task
+	order    []int32        // dependencyOrder's scratch
+	assigned int            // tasks in lk.Satisfied
+	nBotched int            // tasks in botched
+	commits  []model.Pair   // valid pairs in dispatch order; append-only
 
 	workers, tasks population
 	totals         Totals
@@ -172,10 +179,10 @@ func (s *Step) Worker(i int) WorkerState { return s.ws[i] }
 func (s *Step) Totals() Totals { return s.totals }
 
 // Assigned returns how many tasks have been validly assigned.
-func (s *Step) Assigned() int { return len(s.satisfied) }
+func (s *Step) Assigned() int { return s.assigned }
 
 // Expired returns how many tasks were neither assigned nor consumed.
-func (s *Step) Expired() int { return len(s.in.Tasks) - len(s.satisfied) - len(s.botched) }
+func (s *Step) Expired() int { return len(s.in.Tasks) - s.assigned - s.nBotched }
 
 // Commits returns every valid pair in dispatch order. The slice is
 // append-only: a caller may alias a length-capped prefix of it.
@@ -206,9 +213,22 @@ func (s *Step) AddWorkers(ws ...model.Worker) {
 
 // AddTasks registers tasks whose IDs continue the registry.
 func (s *Step) AddTasks(ts ...model.Task) {
+	s.in.Tasks = append(s.in.Tasks, ts...)
+	s.growTasks()
 	for _, t := range ts {
-		s.in.Tasks = append(s.in.Tasks, t)
 		s.tasks.place(int32(t.ID), t.Start, s.now, s.taskRetired(int32(t.ID)))
+	}
+}
+
+// growTasks sizes every task-ID-indexed slice to the registry, amortised
+// over registrations like append.
+func (s *Step) growTasks() {
+	n := len(s.in.Tasks)
+	s.lk.Grow(n)
+	s.botched.Grow(n)
+	if n > len(s.finishAt) {
+		s.finishAt = slices.Grow(s.finishAt, n-len(s.finishAt))[:n]
+		s.order = slices.Grow(s.order, n-len(s.order))[:n]
 	}
 }
 
@@ -221,7 +241,7 @@ func (s *Step) workerRetired(i int32) bool {
 // taskRetired reports a task consumed by a dispatch or past its deadline.
 func (s *Step) taskRetired(i int32) bool {
 	id := model.TaskID(i)
-	return s.satisfied[id] || s.botched[id] || s.in.Tasks[i].Deadline() < s.now
+	return s.lk.Satisfied.Has(id) || s.botched.Has(id) || s.in.Tasks[i].Deadline() < s.now
 }
 
 // Tick runs one batch at logical time now, which must not precede the
@@ -266,8 +286,9 @@ func (s *Step) Tick(now float64, rec *obs.BatchRec) (Outcome, error) {
 		collectD = phase()
 		return out, nil
 	}
-	// Core only reads Satisfied, so the persistent set goes in by reference.
-	b := core.NewBatch(&s.in, bws, tasks, s.satisfied)
+	// The batch reads the step's persistent lookups in place: core only
+	// reads Satisfied, and the positions it needs are the live tasks' only.
+	b := core.NewLiveBatch(&s.in, bws, tasks, &s.lk)
 	b.SetRecorder(rec)
 	collectD = phase()
 
@@ -323,7 +344,7 @@ func (s *Step) Tick(now float64, rec *obs.BatchRec) (Outcome, error) {
 func (s *Step) dispatch(b *core.Batch, raw, valid *model.Assignment) (rogue int) {
 	now := s.now
 	validTask := valid.TaskSet()
-	for _, pair := range dependencyOrder(&s.in, raw) {
+	for _, pair := range dependencyOrder(&s.in, raw, s.order) {
 		// DropUnknownWorkers already removed pairs naming workers outside
 		// the batch; the guard stays as a backstop so a miss can never
 		// dispatch through batch index 0.
@@ -338,8 +359,8 @@ func (s *Step) dispatch(b *core.Batch, raw, valid *model.Assignment) (rogue int)
 		d := s.dist(from, t.Loc)
 		serviceStart := math.Max(now, t.Start) + w.TravelTime(from, t.Loc, s.dist)
 		for _, dep := range t.Deps {
-			if fa, ok := s.finishAt[dep]; ok && fa > serviceStart {
-				serviceStart = fa
+			if s.lk.Satisfied.Has(dep) && s.finishAt[dep] > serviceStart {
+				serviceStart = s.finishAt[dep]
 			}
 		}
 		finish := serviceStart + s.cfg.ServiceTime
@@ -347,11 +368,10 @@ func (s *Step) dispatch(b *core.Batch, raw, valid *model.Assignment) (rogue int)
 		s.totals.Travel += d
 		s.totals.BusyTime += finish - now
 		if !validTask[pair.Task] {
-			s.botched[pair.Task] = true
+			s.botch(pair.Task)
 			continue
 		}
-		s.satisfied[pair.Task] = true
-		s.finishAt[pair.Task] = finish
+		s.satisfy(pair.Task, finish)
 		s.commits = append(s.commits, pair)
 		delay := serviceStart - t.Start
 		s.totals.Completed++
@@ -364,32 +384,60 @@ func (s *Step) dispatch(b *core.Batch, raw, valid *model.Assignment) (rogue int)
 	return rogue
 }
 
+// satisfy records a valid commit of task id finishing at finish.
+func (s *Step) satisfy(id model.TaskID, finish float64) {
+	if !s.lk.Satisfied.Has(id) {
+		s.lk.Satisfied.Add(id)
+		s.assigned++
+	}
+	s.finishAt[id] = finish
+}
+
+// botch records task id as consumed by an invalid dispatch.
+func (s *Step) botch(id model.TaskID) {
+	if !s.botched.Has(id) {
+		s.botched.Add(id)
+		s.nBotched++
+	}
+}
+
 // dependencyOrder returns the assignment's pairs ordered so that every task
 // appears after its in-assignment dependencies, enabling single-pass finish
 // time computation. The assignment's dependency consistency guarantees the
-// order exists.
-func dependencyOrder(in *model.Instance, m *model.Assignment) []model.Pair {
-	byTask := make(map[model.TaskID]model.Pair, len(m.Pairs))
-	for _, p := range m.Pairs {
-		byTask[p.Task] = p
+// order exists. A task named by several pairs appears once, with its last
+// pair.
+//
+// slot is task-ID-indexed scratch covering every task m and its tasks'
+// dependencies name; only m's tasks' entries are written. An entry is
+// current only when it points back at a pair naming its task, so entries
+// left by earlier calls need no clearing.
+func dependencyOrder(in *model.Instance, m *model.Assignment, slot []int32) []model.Pair {
+	for k, p := range m.Pairs {
+		slot[p.Task] = int32(k)
 	}
-	visited := make(map[model.TaskID]bool, len(m.Pairs))
+	pairOf := func(id model.TaskID) int {
+		if k := int(slot[id]); k < len(m.Pairs) && m.Pairs[k].Task == id {
+			return k
+		}
+		return -1
+	}
+	visited := make([]bool, len(m.Pairs)) // by a task's last pair
 	out := make([]model.Pair, 0, len(m.Pairs))
-	var visit func(id model.TaskID)
-	visit = func(id model.TaskID) {
-		if visited[id] {
+	var visit func(k int)
+	visit = func(k int) {
+		if visited[k] {
 			return
 		}
-		visited[id] = true
-		for _, dep := range in.Task(id).Deps {
-			if _, ok := byTask[dep]; ok {
-				visit(dep)
+		visited[k] = true
+		for _, dep := range in.Task(m.Pairs[k].Task).Deps {
+			if d := pairOf(dep); d >= 0 {
+				visit(d)
 			}
 		}
-		out = append(out, byTask[id])
+		out = append(out, m.Pairs[k])
 	}
 	for _, p := range m.Pairs {
-		visit(p.Task)
+		visit(pairOf(p.Task))
 	}
 	return out
 }
@@ -421,10 +469,11 @@ func (s *Step) Save() Saved {
 	for _, p := range s.Assignments().Pairs {
 		sv.Assigned = append(sv.Assigned, Commit{Task: p.Task, Worker: p.Worker, FinishAt: s.finishAt[p.Task]})
 	}
-	for id := range s.botched {
-		sv.Botched = append(sv.Botched, id)
+	for id := range s.in.Tasks {
+		if s.botched.Has(model.TaskID(id)) {
+			sv.Botched = append(sv.Botched, model.TaskID(id))
+		}
 	}
-	slices.Sort(sv.Botched)
 	return sv
 }
 
@@ -440,20 +489,17 @@ func (s *Step) Restore(sv Saved) {
 			Workers: sv.Workers[:len(sv.Workers):len(sv.Workers)],
 			Tasks:   sv.Tasks[:len(sv.Tasks):len(sv.Tasks)],
 		},
-		ws:        sv.State,
-		satisfied: make(map[model.TaskID]bool, len(sv.Assigned)),
-		botched:   make(map[model.TaskID]bool, len(sv.Botched)),
-		finishAt:  make(map[model.TaskID]float64, len(sv.Assigned)),
-		totals:    Totals{Wasted: sv.Wasted, Rogue: sv.Rogue},
+		ws:     sv.State,
+		totals: Totals{Wasted: sv.Wasted, Rogue: sv.Rogue},
 	}
 	s.dist = s.in.Distance()
+	s.growTasks()
 	for _, c := range sv.Assigned {
-		s.satisfied[c.Task] = true
-		s.finishAt[c.Task] = c.FinishAt
+		s.satisfy(c.Task, c.FinishAt)
 		s.commits = append(s.commits, model.Pair{Worker: c.Worker, Task: c.Task})
 	}
 	for _, id := range sv.Botched {
-		s.botched[id] = true
+		s.botch(id)
 	}
 	for i := range s.in.Workers {
 		s.workers.place(int32(i), s.in.Workers[i].Start, s.now, s.workerRetired(int32(i)))

@@ -15,7 +15,8 @@ func TestDependencyOrder(t *testing.T) {
 	m.Add(2, 2) // t3 depends on t1, t2
 	m.Add(0, 1) // t2 depends on t1
 	m.Add(1, 0) // t1
-	order := dependencyOrder(in, m)
+	slot := make([]int32, len(in.Tasks))
+	order := dependencyOrder(in, m, slot)
 	pos := map[model.TaskID]int{}
 	for i, p := range order {
 		pos[p.Task] = i
@@ -29,8 +30,37 @@ func TestDependencyOrder(t *testing.T) {
 	// Pairs whose dependencies are outside the assignment keep their place.
 	m2 := model.NewAssignment()
 	m2.Add(0, 2) // deps t0, t1 not assigned
-	if got := dependencyOrder(in, m2); len(got) != 1 || got[0].Task != 2 {
+	if got := dependencyOrder(in, m2, slot); len(got) != 1 || got[0].Task != 2 {
 		t.Errorf("partial order = %v", got)
+	}
+}
+
+// TestDependencyOrderMatchesMap: the dense dependencyOrder returns exactly
+// the map-based order on random assignments that repeat tasks, leave
+// dependencies out and reuse one slot slice, so every call meets the stale
+// entries of the calls before it.
+func TestDependencyOrderMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 60
+	in := &model.Instance{Tasks: make([]model.Task, n)}
+	for i := range in.Tasks {
+		in.Tasks[i].ID = model.TaskID(i)
+		for d := 0; d < i; d++ {
+			if rng.Intn(8) == 0 {
+				in.Tasks[i].Deps = append(in.Tasks[i].Deps, model.TaskID(d))
+			}
+		}
+	}
+	slot := make([]int32, n)
+	for k := 0; k < 500; k++ {
+		m := model.NewAssignment()
+		for p := rng.Intn(25); p > 0; p-- {
+			m.Add(model.WorkerID(rng.Intn(10)), model.TaskID(rng.Intn(n)))
+		}
+		got, want := dependencyOrder(in, m, slot), dependencyOrderMap(in, m)
+		if !slices.Equal(got, want) {
+			t.Fatalf("assignment %v:\ndense %v\nmap   %v", m.Pairs, got, want)
+		}
 	}
 }
 
