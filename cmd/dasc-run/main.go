@@ -16,12 +16,12 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
 	"dasc/internal/core"
 	"dasc/internal/dataset"
 	"dasc/internal/obs"
 	"dasc/internal/sim"
-	"dasc/internal/stats"
 	"dasc/internal/step"
 	"dasc/internal/viz"
 )
@@ -81,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	timer := stats.StartTimer()
+	start := time.Now()
 	if *static {
 		b := core.NewStaticBatch(in)
 		alloc := engine.Allocator(alloc)
@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		m := core.DependencyFixpoint(b, alloc.Assign(b))
 		fmt.Fprintf(stdout, "algorithm: %s\nscore: %d\ntime_ms: %.3f\n",
-			alloc.Name(), m.Size(), timer.ElapsedMS())
+			alloc.Name(), m.Size(), time.Since(start).Seconds()*1e3)
 		if *poa > 0 {
 			q := core.MeasureEquilibriumQuality(b, core.GameOptions{}, core.DFSOptions{}, *poa, *seed)
 			fmt.Fprintf(stdout, "optimum: %d (exact: %v)\nequilibria: best=%d worst=%d mean=%.2f over %d samples\npos_estimate: %.3f\npoa_estimate: %.3f\n",
@@ -158,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "algorithm: %s\nbatches: %d\nassigned_pairs: %d\ncompleted_tasks: %d\nexpired_tasks: %d\ntotal_travel: %.4f\nmean_start_delay: %.4f\ntime_ms: %.3f\n",
 		alloc.Name(), res.Batches, res.AssignedPairs, res.CompletedTasks,
-		res.ExpiredTasks, res.TotalTravel, res.MeanStartDelay, timer.ElapsedMS())
+		res.ExpiredTasks, res.TotalTravel, res.MeanStartDelay, time.Since(start).Seconds()*1e3)
 	if reg != nil {
 		if *metrics == "-" {
 			return reg.WriteText(stdout)

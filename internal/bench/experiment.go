@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"dasc/internal/core"
-	"dasc/internal/stats"
 )
 
 // Point is one x-axis value of a sweep: a label (e.g. "[0.02, 0.025]") and a
@@ -113,7 +112,7 @@ func (e *Experiment) Run(opt RunOptions) (*Table, error) {
 			scores = append(scores, score)
 			times = append(times, ms)
 		}
-		return Cell{Score: stats.Mean(scores), TimeMS: stats.Mean(times)}, nil
+		return Cell{Score: mean(scores), TimeMS: mean(times)}, nil
 	}
 	report := func(j cellJob, c Cell) {
 		if opt.Progress != nil {

@@ -3,9 +3,9 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"dasc/internal/core"
-	"dasc/internal/stats"
 )
 
 // Trend is the direction the paper reports for a score series along a sweep.
@@ -118,7 +118,19 @@ func meanOf(row map[string]Cell, labels []string) float64 {
 	for _, l := range labels {
 		vals = append(vals, row[l].Score)
 	}
-	return stats.Mean(vals)
+	return mean(vals)
+}
+
+// mean returns the arithmetic mean, or NaN for an empty slice.
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
 }
 
 // directionHolds checks a direction claim with relative slack.

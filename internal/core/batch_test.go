@@ -28,26 +28,29 @@ func TestStaticBatchWrapsInstance(t *testing.T) {
 	}
 }
 
-func TestBatchStrategySetsMatchCandidateIndex(t *testing.T) {
-	// The batch's strategy sets must agree with the model-level candidate
-	// index on a static batch.
+func TestBatchStrategySetsMatchFeasibleScan(t *testing.T) {
+	// The batch's strategy sets must agree with a brute-force scan of every
+	// task through the feasibility predicate on a static batch.
 	rng := rand.New(rand.NewSource(60))
 	for trial := 0; trial < 10; trial++ {
 		in := randomInstance(rng, 10, 15, 4, true)
 		b := NewStaticBatch(in)
-		ci := model.NewCandidateIndex(in)
+		dist := in.Distance()
 		sets := b.StrategySets()
 		for wi := range b.Workers {
 			var got []model.TaskID
 			for _, ti := range sets[wi] {
 				got = append(got, b.Tasks[ti].ID)
 			}
-			want := ci.TasksFor(&in.Workers[wi])
-			if len(want) == 0 {
-				want = nil
+			w := &in.Workers[wi]
+			var want []model.TaskID
+			for i := range in.Tasks {
+				if tk := &in.Tasks[i]; model.Feasible(w, tk, dist) {
+					want = append(want, tk.ID)
+				}
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("worker %d: batch %v vs index %v", wi, got, want)
+				t.Fatalf("worker %d: batch %v vs scan %v", wi, got, want)
 			}
 		}
 	}

@@ -20,14 +20,12 @@ import (
 // Three ideas combine:
 //
 //   - Skill buckets: pending tasks are grouped by required skill, so a
-//     worker only ever examines tasks whose skill it holds (the per-skill
-//     inverted list of model.CandidateIndex, rebuilt over the batch's
-//     pending subset).
+//     worker only ever examines tasks whose skill it holds.
 //   - Spatial pruning: when the batch metric admits a Euclidean lower bound
 //     (geo.EuclideanBoundScale), a geo.GridIndex over the pending task
 //     locations answers "which tasks are within this worker's remaining
 //     distance budget" as a radius query from the worker's *current*
-//     location — the mid-simulation generalisation of the static index.
+//     location.
 //     Whichever of the two prunings promises the smaller candidate pool is
 //     used per worker; both finish with the exact model.FeasibleFrom
 //     predicate, so the choice never changes the result.

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"dasc/internal/matching"
 	"dasc/internal/model"
 )
 
@@ -64,7 +65,7 @@ func Improve(b *Batch, a *model.Assignment) *model.Assignment {
 		adoptedAny := false
 		for _, ti := range eligible() {
 			trial := append(append([]int(nil), members...), ti)
-			bg, trialCols := subsetGraph(b, trial, candidates)
+			bg, trialCols := subsetGraph(trial, candidates)
 			m, size := bg.MaxMatchingHK()
 			if size != len(trial) {
 				continue
@@ -106,4 +107,25 @@ func (i *Improved) Name() string { return i.Inner.Name() + "+aug" }
 func (i *Improved) Assign(b *Batch) *model.Assignment {
 	base := DependencyFixpoint(b, i.Inner.Assign(b))
 	return Improve(b, base)
+}
+
+// subsetGraph builds the bipartite graph of the member tasks against the
+// union of their candidate workers, returning the worker-index column map.
+func subsetGraph(members []int, candidates [][]int) (*matching.Bipartite, []int) {
+	colOf := make(map[int]int)
+	var cols []int
+	bg := matching.NewBipartite(len(members), 0)
+	for row, ti := range members {
+		for _, wi := range candidates[ti] {
+			ci, ok := colOf[wi]
+			if !ok {
+				ci = len(cols)
+				colOf[wi] = ci
+				cols = append(cols, wi)
+			}
+			bg.Adj[row] = append(bg.Adj[row], ci)
+		}
+	}
+	bg.N = len(cols)
+	return bg, cols
 }

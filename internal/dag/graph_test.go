@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -25,18 +26,62 @@ func paperGraph(t *testing.T) *Graph {
 	return g
 }
 
+// hasDep reports whether u directly depends on v.
+func hasDep(g *Graph, u, v int) bool {
+	for _, w := range g.Deps(u) {
+		if int(w) == v {
+			return true
+		}
+	}
+	return false
+}
+
+// sortedInts converts and sorts an int32 slice for stable comparison.
+func sortedInts(in []int32) []int {
+	out := make([]int, len(in))
+	for i, v := range in {
+		out[i] = int(v)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// ancestors is the brute-force reachability oracle: every vertex u
+// transitively depends on, ascending, u excluded.
+func ancestors(g *Graph, u int) []int {
+	seen := make([]bool, g.Len())
+	stack := []int{u}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range g.Deps(x) {
+			if !seen[v] {
+				seen[v] = true
+				stack = append(stack, int(v))
+			}
+		}
+	}
+	out := []int{}
+	for v, ok := range seen {
+		if ok && v != u {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 func TestAddDepBasics(t *testing.T) {
 	g := New(0)
 	mustAdd(t, g, 3, 1)
 	if g.Len() != 4 {
 		t.Errorf("Len = %d, want 4 (auto-grow)", g.Len())
 	}
-	if !g.HasDep(3, 1) || g.HasDep(1, 3) {
-		t.Error("HasDep direction wrong")
+	if !hasDep(g, 3, 1) || hasDep(g, 1, 3) {
+		t.Error("edge direction wrong")
 	}
 	mustAdd(t, g, 3, 1) // duplicate ignored
-	if g.EdgeCount() != 1 {
-		t.Errorf("EdgeCount = %d after duplicate add", g.EdgeCount())
+	if n := len(g.Deps(3)); n != 1 {
+		t.Errorf("%d edges after duplicate add", n)
 	}
 	if err := g.AddDep(2, 2); !errors.Is(err, ErrCycle) {
 		t.Errorf("self-dep err = %v", err)
@@ -51,18 +96,12 @@ func TestDepsAndDependents(t *testing.T) {
 	if got := sortedInts(g.Deps(2)); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Errorf("Deps(2) = %v", got)
 	}
-	if got := sortedInts(g.Dependents(0)); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Errorf("Dependents(0) = %v", got)
+	// The reverse adjacency TopoSort walks.
+	if got := sortedInts(g.dependents[0]); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Errorf("dependents[0] = %v", got)
 	}
 	if g.Deps(99) != nil || g.Deps(-1) != nil {
 		t.Error("out-of-range Deps should be nil")
-	}
-}
-
-func TestRoots(t *testing.T) {
-	g := paperGraph(t)
-	if got := g.Roots(); !reflect.DeepEqual(got, []int{0, 3}) {
-		t.Errorf("Roots = %v", got)
 	}
 }
 
@@ -121,7 +160,7 @@ func TestCycleDetection(t *testing.T) {
 	// Verify each vertex depends on the next (wrapping).
 	for i, u := range cyc {
 		v := cyc[(i+1)%len(cyc)]
-		if !g.HasDep(u, v) {
+		if !hasDep(g, u, v) {
 			t.Errorf("cycle edge %d→%d missing", u, v)
 		}
 	}
@@ -129,32 +168,16 @@ func TestCycleDetection(t *testing.T) {
 
 func TestLevels(t *testing.T) {
 	g := paperGraph(t)
-	levels, err := g.Levels()
+	levels, err := g.levels()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := [][]int{{0, 3}, {1, 4}, {2}}
+	want := []int{0, 1, 2, 0, 1}
 	if !reflect.DeepEqual(levels, want) {
-		t.Errorf("Levels = %v, want %v", levels, want)
+		t.Errorf("levels = %v, want %v", levels, want)
 	}
 	if cp, _ := g.CriticalPathLen(); cp != 2 {
 		t.Errorf("CriticalPathLen = %d", cp)
-	}
-}
-
-func TestAncestorsDescendants(t *testing.T) {
-	g := paperGraph(t)
-	if got := g.Ancestors(2); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Errorf("Ancestors(2) = %v", got)
-	}
-	if got := g.Ancestors(0); len(got) != 0 {
-		t.Errorf("Ancestors(0) = %v", got)
-	}
-	if got := g.Descendants(0); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Errorf("Descendants(0) = %v", got)
-	}
-	if got := g.Descendants(3); !reflect.DeepEqual(got, []int{4}) {
-		t.Errorf("Descendants(3) = %v", got)
 	}
 }
 
@@ -167,23 +190,14 @@ func TestTransitiveClosure(t *testing.T) {
 	if g.IsTransitivelyClosed() {
 		t.Fatal("chain should not be closed")
 	}
-	c, err := g.TransitiveClosure()
-	if err != nil {
-		t.Fatal(err)
+	mustAdd(t, g, 2, 0)
+	mustAdd(t, g, 3, 1)
+	if g.IsTransitivelyClosed() {
+		t.Fatal("3 still lacks 0")
 	}
-	if got := sortedInts(c.Deps(3)); !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Errorf("closure Deps(3) = %v", got)
-	}
-	if !c.IsTransitivelyClosed() {
-		t.Error("closure not closed")
-	}
-	// Closure is idempotent.
-	c2, err := c.TransitiveClosure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.EdgeCount() != c.EdgeCount() {
-		t.Errorf("closure not idempotent: %d vs %d edges", c2.EdgeCount(), c.EdgeCount())
+	mustAdd(t, g, 3, 0)
+	if !g.IsTransitivelyClosed() {
+		t.Error("closed chain reported open")
 	}
 }
 
@@ -196,23 +210,11 @@ func TestTransitiveReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.HasDep(2, 0) {
+	if hasDep(r, 2, 0) {
 		t.Error("redundant edge kept")
 	}
-	if !r.HasDep(2, 1) || !r.HasDep(1, 0) {
+	if !hasDep(r, 2, 1) || !hasDep(r, 1, 0) {
 		t.Error("required edges dropped")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	g := paperGraph(t)
-	c := g.Clone()
-	mustAdd(t, c, 4, 0)
-	if g.HasDep(4, 0) {
-		t.Error("mutation of clone leaked into original")
-	}
-	if c.EdgeCount() != g.EdgeCount()+1 {
-		t.Errorf("clone EdgeCount = %d", c.EdgeCount())
 	}
 }
 
@@ -250,15 +252,22 @@ func TestRandomDAGProperties(t *testing.T) {
 				}
 			}
 		}
-		// Closure ancestors must match original ancestors.
-		c, err := g.TransitiveClosure()
-		if err != nil {
-			t.Fatal(err)
-		}
+		// IsTransitivelyClosed agrees with the ancestor oracle, before and
+		// after closing every dependency list.
+		closed := true
+		c := New(g.Len())
 		for u := 0; u < g.Len(); u++ {
-			if !reflect.DeepEqual(sortedInts(c.Deps(u)), g.Ancestors(u)) {
-				t.Fatalf("closure deps of %d != ancestors", u)
+			anc := ancestors(g, u)
+			closed = closed && reflect.DeepEqual(sortedInts(g.Deps(u)), anc)
+			for _, v := range anc {
+				mustAdd(t, c, u, v)
 			}
+		}
+		if g.IsTransitivelyClosed() != closed {
+			t.Fatalf("IsTransitivelyClosed = %v, oracle %v", !closed, closed)
+		}
+		if !c.IsTransitivelyClosed() {
+			t.Fatal("closed graph reported open")
 		}
 		// Reduction preserves reachability.
 		r, err := g.TransitiveReduction()
@@ -266,7 +275,7 @@ func TestRandomDAGProperties(t *testing.T) {
 			t.Fatal(err)
 		}
 		for u := 0; u < g.Len(); u++ {
-			if !reflect.DeepEqual(r.Ancestors(u), g.Ancestors(u)) {
+			if !reflect.DeepEqual(ancestors(r, u), ancestors(g, u)) {
 				t.Fatalf("reduction changed ancestors of %d", u)
 			}
 		}
@@ -277,85 +286,13 @@ func TestLevelsOnCycle(t *testing.T) {
 	g := New(2)
 	mustAdd(t, g, 0, 1)
 	mustAdd(t, g, 1, 0)
-	if _, err := g.Levels(); !errors.Is(err, ErrCycle) {
-		t.Errorf("Levels on cycle err = %v", err)
+	if _, err := g.levels(); !errors.Is(err, ErrCycle) {
+		t.Errorf("levels on cycle err = %v", err)
 	}
-	if _, err := g.TransitiveClosure(); !errors.Is(err, ErrCycle) {
-		t.Errorf("TransitiveClosure on cycle err = %v", err)
+	if _, err := g.CriticalPathLen(); !errors.Is(err, ErrCycle) {
+		t.Errorf("CriticalPathLen on cycle err = %v", err)
 	}
 	if _, err := g.TransitiveReduction(); !errors.Is(err, ErrCycle) {
 		t.Errorf("TransitiveReduction on cycle err = %v", err)
-	}
-}
-
-func TestSCCsAcyclic(t *testing.T) {
-	g := paperGraph(t)
-	comps := g.SCCs()
-	if len(comps) != 5 {
-		t.Fatalf("SCCs = %v, want 5 singletons", comps)
-	}
-	for i, c := range comps {
-		if len(c) != 1 || c[0] != i {
-			t.Fatalf("component %d = %v", i, c)
-		}
-	}
-	if got := g.CyclicComponents(); got != nil {
-		t.Errorf("CyclicComponents on DAG = %v", got)
-	}
-}
-
-func TestSCCsTwoCycles(t *testing.T) {
-	g := New(7)
-	// Cycle A: 0→1→2→0. Cycle B: 4↔5. Singles: 3, 6 (6 feeds into A).
-	mustAdd(t, g, 0, 1)
-	mustAdd(t, g, 1, 2)
-	mustAdd(t, g, 2, 0)
-	mustAdd(t, g, 4, 5)
-	mustAdd(t, g, 5, 4)
-	mustAdd(t, g, 6, 0)
-	cyc := g.CyclicComponents()
-	if len(cyc) != 2 {
-		t.Fatalf("CyclicComponents = %v, want 2", cyc)
-	}
-	if !reflect.DeepEqual(cyc[0], []int{0, 1, 2}) || !reflect.DeepEqual(cyc[1], []int{4, 5}) {
-		t.Errorf("components = %v", cyc)
-	}
-	// Total SCCs: {0,1,2}, {3}, {4,5}, {6}.
-	if got := len(g.SCCs()); got != 4 {
-		t.Errorf("SCC count = %d, want 4", got)
-	}
-}
-
-func TestSCCsMatchAcyclicityOnRandomGraphs(t *testing.T) {
-	rng := rand.New(rand.NewSource(140))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + rng.Intn(20)
-		g := New(n)
-		for e := 0; e < rng.Intn(3*n); e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				_ = g.AddDep(u, v)
-			}
-		}
-		hasCycle := len(g.CyclicComponents()) > 0
-		if hasCycle == g.IsAcyclic() {
-			t.Fatalf("trial %d: SCC cycle detection (%v) disagrees with topo sort (%v)",
-				trial, hasCycle, g.IsAcyclic())
-		}
-		// Components partition the vertex set.
-		seen := make([]bool, n)
-		total := 0
-		for _, c := range g.SCCs() {
-			for _, v := range c {
-				if seen[v] {
-					t.Fatal("vertex in two components")
-				}
-				seen[v] = true
-				total++
-			}
-		}
-		if total != n {
-			t.Fatalf("components cover %d of %d vertices", total, n)
-		}
 	}
 }

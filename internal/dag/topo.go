@@ -6,7 +6,10 @@ package dag
 // output deterministic.
 func (g *Graph) TopoSort() ([]int, error) {
 	n := g.Len()
-	indeg := g.InDegrees()
+	indeg := make([]int, n)
+	for u := range g.deps {
+		indeg[u] = len(g.deps[u])
+	}
 	// Min-heap on vertex index keeps the order stable across runs.
 	frontier := &intHeap{}
 	for u := 0; u < n; u++ {
@@ -88,42 +91,35 @@ func (g *Graph) FindCycle() []int {
 	return nil
 }
 
-// Levels partitions an acyclic graph into dependency levels: level 0 holds
-// tasks with no dependencies, level k holds tasks whose longest dependency
-// chain has length k. Tasks within one level are mutually independent along
-// dependency chains. Returns ErrCycle on cyclic graphs.
-func (g *Graph) Levels() ([][]int, error) {
+// CriticalPathLen returns the length (edge count) of the longest dependency
+// chain, or ErrCycle.
+func (g *Graph) CriticalPathLen() (int, error) {
+	level, err := g.levels()
+	if err != nil {
+		return 0, err
+	}
+	longest := 0
+	for _, l := range level {
+		longest = max(longest, l)
+	}
+	return longest, nil
+}
+
+// levels returns, for every vertex, the length of the longest dependency
+// chain below it: 0 for a task without dependencies. Returns ErrCycle on
+// cyclic graphs.
+func (g *Graph) levels() ([]int, error) {
 	order, err := g.TopoSort()
 	if err != nil {
 		return nil, err
 	}
 	level := make([]int, g.Len())
-	maxLevel := 0
 	for _, u := range order {
 		for _, v := range g.deps[u] {
-			if lv := level[v] + 1; lv > level[u] {
-				level[u] = lv
-			}
-		}
-		if level[u] > maxLevel {
-			maxLevel = level[u]
+			level[u] = max(level[u], level[v]+1)
 		}
 	}
-	out := make([][]int, maxLevel+1)
-	for _, u := range order {
-		out[level[u]] = append(out[level[u]], u)
-	}
-	return out, nil
-}
-
-// CriticalPathLen returns the length (edge count) of the longest dependency
-// chain, or ErrCycle.
-func (g *Graph) CriticalPathLen() (int, error) {
-	levels, err := g.Levels()
-	if err != nil {
-		return 0, err
-	}
-	return len(levels) - 1, nil
+	return level, nil
 }
 
 // intHeap is a tiny min-heap of ints used by TopoSort.

@@ -46,14 +46,13 @@ func NewGridIndex(box BBox, targetCells int) *GridIndex {
 			cell = long / n // w·h underflowed
 		}
 	}
-	cols := int(math.Ceil(w / cell))
-	rows := int(math.Ceil(h / cell))
-	if cols < 1 {
-		cols = 1
+	if !(cell > 0) {
+		// A NaN size, or one that underflowed to 0: an infinite cell, so
+		// one cell holds everything (as it does for infinite corners).
+		cell = math.Inf(1)
 	}
-	if rows < 1 {
-		rows = 1
-	}
+	cols := cellsAlong(w, cell, targetCells)
+	rows := cellsAlong(h, cell, targetCells)
 	return &GridIndex{
 		box:      box,
 		cellSize: cell,
@@ -63,28 +62,51 @@ func NewGridIndex(box BBox, targetCells int) *GridIndex {
 	}
 }
 
+// cellsAlong returns how many cells of size cell cover extent: at least 1
+// and at most limit+1, a cap the sizing above never reaches for a finite
+// box; it keeps NaN and huge extents from sizing the grid.
+func cellsAlong(extent, cell float64, limit int) int {
+	n := math.Ceil(extent / cell)
+	switch {
+	case !(n >= 1):
+		return 1
+	case n > float64(limit+1):
+		return limit + 1
+	}
+	return int(n)
+}
+
 // Len returns the number of items currently in the index.
 func (g *GridIndex) Len() int { return g.count }
 
-// Bounds returns the box the index was built over.
-func (g *GridIndex) Bounds() BBox { return g.box }
-
 func (g *GridIndex) cellOf(p Point) int {
-	cx := int((p.X - g.box.Min.X) / g.cellSize)
-	cy := int((p.Y - g.box.Min.Y) / g.cellSize)
-	cx = clampInt(cx, 0, g.cols-1)
-	cy = clampInt(cy, 0, g.rows-1)
+	cx := cellIndex((p.X-g.box.Min.X)/g.cellSize, g.cols)
+	cy := cellIndex((p.Y-g.box.Min.Y)/g.cellSize, g.rows)
 	return cy*g.cols + cx
 }
 
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
+// cellIndex clamps a fractional cell coordinate to [0, n-1] before
+// converting it, so coordinates beyond the int range (huge or infinite
+// offsets) land on the border cell they lie past instead of wrapping; NaN
+// lands on cell 0.
+func cellIndex(v float64, n int) int {
+	switch {
+	case !(v >= 0):
+		return 0
+	case v >= float64(n-1):
+		return n - 1
 	}
-	if v > hi {
-		return hi
+	return int(v)
+}
+
+// cellSpan returns the cells [lo, hi] covering the fractional cell
+// coordinates [from, to]. A NaN bound (an infinite centre met by an
+// infinite radius) widens the span to that border.
+func cellSpan(from, to float64, n int) (lo, hi int) {
+	if math.IsNaN(to) {
+		return cellIndex(from, n), n - 1
 	}
-	return v
+	return cellIndex(from, n), cellIndex(to, n)
 }
 
 // Insert adds item id at location p. Points outside the index box are clamped
@@ -136,10 +158,8 @@ func (g *GridIndex) Within(center Point, r float64, dst []int) []int {
 		return dst
 	}
 	r2 := r * r
-	minCX := clampInt(int((center.X-r-g.box.Min.X)/g.cellSize), 0, g.cols-1)
-	maxCX := clampInt(int((center.X+r-g.box.Min.X)/g.cellSize), 0, g.cols-1)
-	minCY := clampInt(int((center.Y-r-g.box.Min.Y)/g.cellSize), 0, g.rows-1)
-	maxCY := clampInt(int((center.Y+r-g.box.Min.Y)/g.cellSize), 0, g.rows-1)
+	minCX, maxCX := cellSpan((center.X-r-g.box.Min.X)/g.cellSize, (center.X+r-g.box.Min.X)/g.cellSize, g.cols)
+	minCY, maxCY := cellSpan((center.Y-r-g.box.Min.Y)/g.cellSize, (center.Y+r-g.box.Min.Y)/g.cellSize, g.rows)
 	for cy := minCY; cy <= maxCY; cy++ {
 		for cx := minCX; cx <= maxCX; cx++ {
 			for _, id := range g.cells[cy*g.cols+cx] {
@@ -162,8 +182,8 @@ func (g *GridIndex) Nearest(center Point) (id int, dist float64, ok bool) {
 	// candidate is found whose distance is certified minimal.
 	best := -1
 	bestSq := math.Inf(1)
-	ccx := clampInt(int((center.X-g.box.Min.X)/g.cellSize), 0, g.cols-1)
-	ccy := clampInt(int((center.Y-g.box.Min.Y)/g.cellSize), 0, g.rows-1)
+	ccx := cellIndex((center.X-g.box.Min.X)/g.cellSize, g.cols)
+	ccy := cellIndex((center.Y-g.box.Min.Y)/g.cellSize, g.rows)
 	maxRing := g.cols
 	if g.rows > maxRing {
 		maxRing = g.rows

@@ -310,3 +310,60 @@ func TestGridIndexCellSizeUnchangedForProperBoxes(t *testing.T) {
 		}
 	}
 }
+
+// FuzzGridIndex checks the grid against a linear scan on arbitrary boxes
+// (zero-width, collinear, inverted, huge or non-finite corners), points in
+// and around them, and arbitrary query centres and radii. Within must return
+// exactly the points the scan accepts under the same squared-distance test,
+// and the cell count must stay within the degenerate-box cap, O(targetCells).
+// Finite inputs are folded into ±1e150, where squared distances cannot
+// overflow: past that the squared test itself, not the index, decides.
+func FuzzGridIndex(f *testing.F) {
+	f.Add(0.0, 0.0, 1.0, 1.0, 16, []byte{0, 0, 255, 255, 128, 64, 7, 200}, 0.5, 0.5, 0.3)
+	f.Add(0.0, 5.0, 1000.0, 5.0, 100, []byte{1, 2, 3, 4, 250, 9}, 500.0, 5.0, 40.0)      // horizontal line
+	f.Add(3.0, -500.0, 3.0, 500.0, 100, []byte{9, 8, 7, 6, 5, 4}, 3.0, 0.0, 100.0)       // vertical line
+	f.Add(7.0, 7.0, 7.0, 7.0, 10, []byte{1, 1, 2, 2}, 7.0, 7.0, 0.0)                     // a single point
+	f.Add(10.0, 10.0, 0.0, 0.0, 50, []byte{0, 255, 255, 0, 128, 128}, 5.0, 5.0, 3.0)     // inverted
+	f.Add(0.0, 0.0, 1000.0, 1e-12, 1000, []byte{3, 200, 90, 1, 77, 254}, 10.0, 0.0, 1e9) // thin
+	f.Add(-1e150, -1e150, 1e150, 1e150, 64, []byte{0, 0, 255, 255, 17, 240}, 0.0, 0.0, 1e150)
+	f.Add(0.0, 0.0, math.Inf(1), 1.0, 8, []byte{0, 0, 9, 9, 200, 100}, 1.0, 0.5, math.Inf(1))
+	f.Fuzz(func(t *testing.T, x0, y0, x1, y1 float64, cells int, raw []byte, qx, qy, r float64) {
+		x0, y0, x1, y1, qx, qy, r = fold(x0), fold(y0), fold(x1), fold(y1), fold(qx), fold(qy), fold(r)
+		n := cells % 4096
+		box := BBox{Min: Pt(x0, y0), Max: Pt(x1, y1)}
+		g := NewGridIndex(box, n)
+		if c, limit := g.cols*g.rows, 2*max(n, 1)+2; c < 1 || c > limit {
+			t.Fatalf("box %v, %d target cells: %d×%d cells", box, n, g.cols, g.rows)
+		}
+		// Two bytes per point, spread over the box and a quarter beyond
+		// each side, so clamped border points are exercised too.
+		var pts []Point
+		for i := 0; i+1 < len(raw); i += 2 {
+			u, v := float64(raw[i])/255*1.5-0.25, float64(raw[i+1])/255*1.5-0.25
+			p := Pt(x0+u*(x1-x0), y0+v*(y1-y0))
+			pts = append(pts, p)
+			g.Insert(i/2, p)
+		}
+		q := Pt(qx, qy)
+		var want []int
+		for i, p := range pts {
+			if p.SqDistanceTo(q) <= r*r {
+				want = append(want, i)
+			}
+		}
+		if r < 0 {
+			want = nil
+		}
+		if got := g.Within(q, r, nil); !equalIntSets(got, want) {
+			t.Fatalf("box %v, %d cells: Within(%v, %v) = %v, want %v", box, n, q, r, got, want)
+		}
+	})
+}
+
+// fold maps a finite v into [-1e150, 1e150], keeping NaN and ±Inf.
+func fold(v float64) float64 {
+	if math.IsInf(v, 0) || math.Abs(v) <= 1e150 {
+		return v
+	}
+	return math.Mod(v, 1e150)
+}

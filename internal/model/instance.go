@@ -164,27 +164,57 @@ func (in *Instance) depsAcyclic() bool {
 	return true
 }
 
-// CloseDeps replaces every task's dependency list with its transitive
-// closure, establishing the invariant the allocators rely on. It fails on
-// cyclic dependencies.
-func (in *Instance) CloseDeps() error {
-	g, err := in.DepGraph()
-	if err != nil {
-		return err
-	}
-	closed, err := g.TransitiveClosure()
-	if err != nil {
-		return err
-	}
-	for i := range in.Tasks {
-		anc := closed.Deps(i)
-		deps := make([]TaskID, len(anc))
-		for j, v := range anc {
-			deps[j] = TaskID(v)
+// CloseDeps extends every dependency list to its transitive closure, the
+// invariant the allocators' associative task sets rely on, as the server
+// does at registration: a list keeps its own entries in order and gains each
+// missing ancestor after them, so a list that is already closed (every
+// dasc-gen file) comes back unchanged. Tasks are closed dependencies first,
+// found by an iterative DFS. Precondition: in has passed Validate, so the
+// lists name known, distinct tasks and form no cycle.
+func (in *Instance) CloseDeps() {
+	tasks := in.Tasks
+	done := make([]bool, len(tasks))
+	// seen[d] == u+1 marks d as already in task u's closed list.
+	seen := make([]int32, len(tasks))
+	closeOne := func(u int) {
+		stamp := int32(u + 1)
+		own := tasks[u].Deps
+		for _, d := range own {
+			seen[d] = stamp
 		}
-		in.Tasks[i].Deps = deps
+		deps := own[:len(own):len(own)] // appends must not write into the caller's array
+		for _, d := range own {
+			for _, dd := range tasks[d].Deps {
+				if seen[dd] != stamp {
+					seen[dd] = stamp
+					deps = append(deps, dd)
+				}
+			}
+		}
+		tasks[u].Deps = deps
+		done[u] = true
 	}
-	return nil
+	type frame struct{ task, next int }
+	var stack []frame
+	for root := range tasks {
+		if done[root] {
+			continue
+		}
+		stack = append(stack[:0], frame{task: root})
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			own := tasks[f.task].Deps
+			for f.next < len(own) && done[own[f.next]] {
+				f.next++
+			}
+			if f.next == len(own) {
+				closeOne(f.task)
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			stack = append(stack, frame{task: int(own[f.next])})
+		}
+	}
 }
 
 // Stats summarises an instance for logging and reports.

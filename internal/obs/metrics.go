@@ -83,12 +83,9 @@ const (
 	MGameSkippedTotal   = "dasc_game_skipped_total"
 	MGameMovedTotal     = "dasc_game_moved_total"
 
-	// Phase latency histograms (seconds, log-scale buckets). These were
-	// uniform-bucket Timers through PR 7; sub-10ms phases collapsed into one
-	// bucket and reported p50 == p99, so latency paths now use the
-	// exponential-bucket Histogram (histogram.go). The tick histogram is the
-	// whole batch step; the collect, index, alloc and dispatch phases add up
-	// to it.
+	// Phase latency histograms (seconds, log-scale buckets). The tick
+	// histogram is the whole batch step; the collect, index, alloc and
+	// dispatch phases add up to it.
 	TTickSeconds   = "dasc_tick_seconds"
 	TPhaseCollect  = "dasc_phase_collect_seconds"
 	TPhaseIndex    = "dasc_phase_index_seconds"

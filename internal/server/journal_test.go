@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 
 // driveExample runs Example 1 through a journaled platform: register
 // everyone, tick twice.
-func driveExample(t *testing.T, p *Platform) {
+func driveExample(t testing.TB, p *Platform) {
 	t.Helper()
 	ex := model.Example1()
 	for _, w := range ex.Workers {
@@ -164,7 +165,7 @@ func (failingWriter) Write([]byte) (int, error) { return 0, errDiskFull }
 
 // journalBytes drives Example 1 through a journaled platform and returns the
 // journal contents plus the original platform.
-func journalBytes(t *testing.T) ([]byte, *Platform) {
+func journalBytes(t testing.TB) ([]byte, *Platform) {
 	t.Helper()
 	var log bytes.Buffer
 	j := NewJournal(&log, nil)
@@ -358,4 +359,74 @@ func TestJournalRewindTruncatesAndStaysAppendable(t *testing.T) {
 	if NewJournal(&bytes.Buffer{}, nil).Rewind() == nil {
 		t.Error("writer-backed journal rewound")
 	}
+}
+
+// batchJournalBytes writes a journal holding v2 group-commit records (one
+// with a dependent task) between ticks, as the ingest pipeline does.
+func batchJournalBytes(t testing.TB) []byte {
+	t.Helper()
+	var log bytes.Buffer
+	j := NewJournal(&log, nil)
+	dep := exTask(1)
+	dep.Deps = []model.TaskID{0}
+	for _, err := range []error{
+		j.Batch([]journalEntry{workerEntry(exWorker(0)), workerEntry(exWorker(1)), taskEntry(exTask(0)), taskEntry(dep)}),
+		j.TickAt(1),
+		j.Batch([]journalEntry{taskEntry(exTask(2)), workerEntry(exWorker(2))}),
+		j.Task(exTask(3)),
+		j.TickAt(2),
+		j.Close(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return log.Bytes()
+}
+
+// FuzzReplay feeds arbitrary bytes to ReplayJournal on a fresh platform. It
+// must never panic, and a replay that succeeds must be deterministic: the
+// same bytes replayed into a second fresh platform give equal stats and
+// assignments.
+func FuzzReplay(f *testing.F) {
+	full, _ := journalBytes(f)
+	batched := batchJournalBytes(f)
+	last := bytes.LastIndexByte(full[:len(full)-1], '\n') + 1
+	for _, seed := range [][]byte{
+		full,
+		full[:last+(len(full)-last)/2], // torn final line
+		full[:len(full)-1],             // complete final line, newline lost
+		batched,
+		batched[:len(batched)-7],
+		[]byte(`{"kind":"batch","v":2,"entries":[{"kind":"tick","tick":1}]}` + "\n"),
+		[]byte(`{"kind":"task","task":{"x":0,"y":0,"wait":1,"requires":0,"deps":[5]}}` + "\n"),
+		[]byte("\n \n"),
+		nil,
+	} {
+		f.Add(seed)
+	}
+	replay := func(t *testing.T, data []byte) (*Platform, error) {
+		p, err := NewPlatform(Config{Allocator: core.NewGreedy()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReplayJournal(bytes.NewReader(data), p)
+		return p, err
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := replay(t, data)
+		if err != nil {
+			return
+		}
+		q, err := replay(t, data)
+		if err != nil {
+			t.Fatalf("second replay failed: %v", err)
+		}
+		if g, w := fmt.Sprintf("%+v", q.Snapshot()), fmt.Sprintf("%+v", p.Snapshot()); g != w {
+			t.Fatalf("stats differ between replays: %s vs %s", g, w)
+		}
+		if g, w := q.Assignments().Pairs, p.Assignments().Pairs; !slices.Equal(g, w) {
+			t.Fatalf("assignments differ between replays: %v vs %v", g, w)
+		}
+	})
 }

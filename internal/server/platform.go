@@ -467,7 +467,14 @@ type Stats struct {
 	AssignedTasks int     `json:"assigned_tasks"`
 	WastedPairs   int     `json:"wasted_pairs"`
 	RoguePairs    int     `json:"rogue_pairs"`
-	Allocator     string  `json:"allocator"`
+	// The paper's outcome measures, as sim.Result reports them: tasks
+	// neither assigned nor consumed by an invalid dispatch (expired, or
+	// still pending), distance covered by all dispatches, and the mean
+	// service-start delay over completed tasks (0 before any completes).
+	ExpiredTasks   int     `json:"expired_tasks"`
+	Travel         float64 `json:"travel"`
+	MeanStartDelay float64 `json:"mean_start_delay"`
+	Allocator      string  `json:"allocator"`
 	// Cumulative EngineCache behaviour across all ticks (also exposed, with
 	// the full per-phase breakdown, on /v1/metrics).
 	WorkersRevalidated int64 `json:"workers_revalidated"`
@@ -486,15 +493,22 @@ func (p *Platform) Snapshot() Stats {
 // requires: p.mu
 func (p *Platform) statsLocked() Stats {
 	in, t := p.st.Instance(), p.st.Totals()
+	var meanDelay float64
+	if t.DelayCount > 0 {
+		meanDelay = t.DelaySum / float64(t.DelayCount)
+	}
 	return Stats{
-		Now:           p.st.Now(),
-		Batches:       p.batches,
-		Workers:       len(in.Workers),
-		Tasks:         len(in.Tasks),
-		AssignedTasks: p.st.Assigned(),
-		WastedPairs:   t.Wasted,
-		RoguePairs:    t.Rogue,
-		Allocator:     p.st.Allocator().Name(),
+		Now:            p.st.Now(),
+		Batches:        p.batches,
+		Workers:        len(in.Workers),
+		Tasks:          len(in.Tasks),
+		AssignedTasks:  p.st.Assigned(),
+		WastedPairs:    t.Wasted,
+		RoguePairs:     t.Rogue,
+		ExpiredTasks:   p.st.Expired(),
+		Travel:         t.Travel,
+		MeanStartDelay: meanDelay,
+		Allocator:      p.st.Allocator().Name(),
 
 		WorkersRevalidated: p.reg.Counter(obs.MCacheRevalidatedTotal).Value(),
 		WorkersRebuilt:     p.reg.Counter(obs.MCacheRebuiltTotal).Value(),

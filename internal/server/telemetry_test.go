@@ -157,6 +157,7 @@ func TestMetricsExpositionConformance(t *testing.T) {
 		obs.MHTTPResponseBytesTotal: "counter",
 		obs.THTTPRequestSeconds:     "histogram",
 		obs.TIngestCommitSeconds:    "histogram",
+		obs.TIngestBatchEntries:     "histogram",
 		obs.TPhaseAlloc:             "histogram",
 		obs.MRuntimeGoroutines:      "gauge",
 		obs.MRuntimeHeapAllocBytes:  "gauge",
@@ -169,6 +170,17 @@ func TestMetricsExpositionConformance(t *testing.T) {
 		if got := exp.Types[name]; got != typ {
 			t.Errorf("family %s type = %q, want %q", name, got, typ)
 		}
+	}
+
+	// Drain sizes land in the power-of-two buckets, the largest at 4096.
+	drainBuckets := 0
+	for _, s := range exp.Samples {
+		if s.Name == obs.TIngestBatchEntries+"_bucket" && s.Labels["le"] == "4096" && s.Value > 0 {
+			drainBuckets++
+		}
+	}
+	if drainBuckets != 1 {
+		t.Errorf("%s_bucket{le=\"4096\"} missing or empty:\n%s", obs.TIngestBatchEntries, text)
 	}
 
 	// Status-class labels made it through with live values.

@@ -85,9 +85,15 @@ func (p *Platform) runOnline() (*Result, error) {
 	assigned := make(map[model.TaskID]bool)
 	finishAt := make(map[model.TaskID]float64)
 
-	// ci's skill buckets prune the per-arrival worker scan: only workers
-	// holding rs_t are examined for a task.
-	ci := model.NewCandidateIndex(in)
+	// Skill buckets prune the per-arrival worker scan: only workers holding
+	// rs_t are examined for a task, in ascending ID order, so ties break
+	// toward the lower ID.
+	bySkill := make(map[model.Skill][]model.WorkerID)
+	for i := range in.Workers {
+		for _, sk := range in.Workers[i].Skills.Skills() {
+			bySkill[sk] = append(bySkill[sk], in.Workers[i].ID)
+		}
+	}
 
 	// Timeline: task arrivals AND worker arrivals. A worker whose Start
 	// falls after the last task arrival must still trigger a sweep, or the
@@ -122,7 +128,7 @@ func (p *Platform) runOnline() (*Result, error) {
 		}
 		best := -1
 		bestTravel := math.Inf(1)
-		for _, wid := range ci.WorkersWithSkill(t.Requires) {
+		for _, wid := range bySkill[t.Requires] {
 			i := int(wid)
 			w := &in.Workers[i]
 			if w.Start > now || now > w.Expiry() || ws[i].busyUntil > now {

@@ -40,9 +40,7 @@ func lockstepInstance(t *testing.T, seed int64) *model.Instance {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.CloseDeps(); err != nil {
-		t.Fatal(err)
-	}
+	in.CloseDeps()
 	return in
 }
 
@@ -160,6 +158,11 @@ func TestStepMatchesFullScanOracle(t *testing.T) {
 							r.Restore(s.Save())
 							if err := r.SameLive(s); err != nil {
 								t.Fatalf("tick %d: restored live sets differ: %v", k, err)
+							}
+							rt, st := r.Totals(), s.Totals()
+							rt.Delays, st.Delays = nil, nil
+							if !reflect.DeepEqual(rt, st) {
+								t.Fatalf("tick %d: restored totals %+v, want %+v", k, rt, st)
 							}
 						}
 					}
@@ -388,7 +391,12 @@ func TestSimAndServerAgree(t *testing.T) {
 							out.Workers, out.Tasks, out.Assigned, br.Workers, br.Tasks, br.Assignment.Pairs)
 					}
 				}
-				if st := srv.StatsView(); st.AssignedTasks != res.AssignedPairs || st.WastedPairs != res.WastedPairs {
+				meanDelay := res.MeanStartDelay
+				if math.IsNaN(meanDelay) {
+					meanDelay = 0 // the server reports 0 before any task completes
+				}
+				if st := srv.StatsView(); st.AssignedTasks != res.AssignedPairs || st.WastedPairs != res.WastedPairs ||
+					st.ExpiredTasks != res.ExpiredTasks || st.Travel != res.TotalTravel || st.MeanStartDelay != meanDelay {
 					t.Fatalf("server stats %+v, simulator result %+v", st, res)
 				}
 			})

@@ -50,18 +50,19 @@ type Commit struct {
 	FinishAt float64        `json:"finish_at"`
 }
 
-// Totals accumulates what every batch so far did.
+// Totals accumulates what every batch so far did. Everything but Delays
+// is durable: it travels in Saved.
 type Totals struct {
-	Assigned   int     // valid pairs
-	Weight     float64 // Σ weight over valid pairs
-	Wasted     int     // executed pairs dropped by the dependency fixpoint
-	Rogue      int     // allocator pairs naming a worker outside the batch
-	Completed  int     // valid pairs dispatched
-	Travel     float64 // distance covered by all dispatches
-	BusyTime   float64 // Σ (finish − batch time) over dispatches
-	DelaySum   float64 // Σ (service start − task start) over completed tasks
-	DelayCount int
-	Delays     []float64 // per completed task, with Config.CollectDelays
+	Assigned   int       `json:"assigned_pairs"` // valid pairs
+	Weight     float64   `json:"weight"`         // Σ weight over valid pairs
+	Wasted     int       `json:"wasted"`         // executed pairs dropped by the dependency fixpoint
+	Rogue      int       `json:"rogue"`          // allocator pairs naming a worker outside the batch
+	Completed  int       `json:"completed"`      // valid pairs dispatched
+	Travel     float64   `json:"travel"`         // distance covered by all dispatches
+	BusyTime   float64   `json:"busy_time"`      // Σ (finish − batch time) over dispatches
+	DelaySum   float64   `json:"delay_sum"`      // Σ (service start − task start) over completed tasks
+	DelayCount int       `json:"delay_count"`
+	Delays     []float64 `json:"-"` // per completed task, with Config.CollectDelays
 }
 
 // Outcome is what one batch did.
@@ -444,11 +445,11 @@ func dependencyOrder(in *model.Instance, m *model.Assignment, slot []int32) []mo
 
 // Saved is a step's durable state: everything but the configuration. Its
 // JSON form is the bookkeeping part of a server snapshot; the registries
-// and the metric travel beside it.
+// and the metric travel beside it. A snapshot written before the totals
+// other than wasted and rogue were saved loads with them zero.
 type Saved struct {
-	Now      float64        `json:"now"`
-	Wasted   int            `json:"wasted"`
-	Rogue    int            `json:"rogue"`
+	Now float64 `json:"now"`
+	Totals
 	Assigned []Commit       `json:"assigned"`          // ascending by task
 	Botched  []model.TaskID `json:"botched,omitempty"` // ascending
 	State    []WorkerState  `json:"worker_state"`      // per worker
@@ -464,8 +465,9 @@ func (s *Step) Save() Saved {
 		Now: s.now, Dist: s.in.Dist, State: slices.Clone(s.ws),
 		Workers: s.in.Workers[:len(s.in.Workers):len(s.in.Workers)],
 		Tasks:   s.in.Tasks[:len(s.in.Tasks):len(s.in.Tasks)],
-		Wasted:  s.totals.Wasted, Rogue: s.totals.Rogue,
+		Totals:  s.totals,
 	}
+	sv.Delays = nil
 	for _, p := range s.Assignments().Pairs {
 		sv.Assigned = append(sv.Assigned, Commit{Task: p.Task, Worker: p.Worker, FinishAt: s.finishAt[p.Task]})
 	}
@@ -490,7 +492,7 @@ func (s *Step) Restore(sv Saved) {
 			Tasks:   sv.Tasks[:len(sv.Tasks):len(sv.Tasks)],
 		},
 		ws:     sv.State,
-		totals: Totals{Wasted: sv.Wasted, Rogue: sv.Rogue},
+		totals: sv.Totals,
 	}
 	s.dist = s.in.Distance()
 	s.growTasks()
